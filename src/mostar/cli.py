@@ -193,6 +193,10 @@ def _cmd_verify(args) -> int:
         print(f"error: unknown claim(s) {unknown}; known: {', '.join(REGISTRY)}",
               file=sys.stderr)
         return 2
+    if args.n_min > args.n_max:
+        print(f"error: empty order range: --n-min {args.n_min} > --n-max {args.n_max}",
+              file=sys.stderr)
+        return 2
     reports = []
     for cid in ids:
         reports.extend(check_claim(cid, args.n_min, args.n_max, cap=args.cap,
@@ -225,11 +229,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    t0 = time.perf_counter()
     t = random_tree(args.n, args.seed)
+    construct_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     fast_total, _ = mostar_fast(t)
     fast_s = time.perf_counter() - t0
     print(f"n = {args.n}")
+    print(f"random_tree: {construct_s:.4f} s  (generate, validate and orient)")
     print(f"mostar_fast: Mo = {fast_total}  ({fast_s:.4f} s)")
     if args.with_oracle or args.n <= args.oracle_max:
         t0 = time.perf_counter()

@@ -9,8 +9,10 @@ edge is ``|n - 2*s|`` where ``s`` is the size of either component.
 
 This module provides:
 
-* :class:`Tree` - an immutable labeled tree on vertices ``0..n-1``.
-* :func:`mostar_fast` - one subtree-size pass, linear time.
+* :class:`Tree` - an immutable labeled tree on vertices ``0..n-1``,
+  validated by one breadth-first search from vertex 0.
+* :func:`mostar_fast` - one subtree-size pass over the orientation that
+  search gives.
 * :func:`mostar_bfs` - the definition applied literally (two breadth
   first sweeps per edge, quadratic); kept as an independent oracle.
 * :func:`psi_edge` - the split of a single edge.
@@ -26,7 +28,7 @@ readers need no coordination.
 
 from __future__ import annotations
 
-import math
+import operator
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,7 +50,8 @@ __all__ = [
     "is_isomorphic",
 ]
 
-# Below this order the pure-Python paths beat the numpy ones.
+# Up to this order the pure-Python BFS beats scipy's; above it the
+# constructor calls scipy and keeps the parent array for mostar_fast.
 _SMALL_N = 2048
 
 
@@ -113,20 +116,35 @@ class Tree:
     """Immutable labeled tree on vertex ids ``0..n-1``.
 
     Construction validates the full invariant set: exactly ``n - 1``
-    edges over in-range ids, no loops, and a single connected component.
-    Anything else raises ``ValueError``.  A one-vertex tree (``n = 1``,
-    no edges) is accepted.
+    edges over in-range integer ids, no loops, and a single connected
+    component.  Anything else raises ``ValueError``.  A one-vertex tree
+    (``n = 1``, no edges) is accepted.
+
+    The check is one breadth-first search from vertex 0: pure Python up
+    to ``_SMALL_N`` vertices, scipy's compiled BFS above it.  Large
+    trees keep the resulting parent array for :func:`mostar_fast`;
+    small trees keep only their adjacency and search again on demand,
+    which costs less than storing the orientation of every tree.
 
     Edges are stored with each pair normalized to ``(min, max)``, in the
     order given to the constructor.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_degrees", "_earr", "_csr_cache", "_edge_set", "_canon")
+    __slots__ = ("n", "edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set", "_canon")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if not isinstance(n, int) or n < 1:
+        try:
+            if isinstance(n, bool):
+                raise TypeError
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count must be a positive integer, got {n!r}") from None
+        if n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
+        try:
+            norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
+        except TypeError as exc:
+            raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
         if len(norm) != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
         self.n = n
@@ -134,91 +152,60 @@ class Tree:
         self._adj = None
         self._degrees = None
         self._earr = None
-        self._csr_cache = None
+        self._parent = None
         self._edge_set = None
         self._canon = None
-        self._validate()
+        if n <= _SMALL_N:
+            reached = len(_bfs(self._build_adj())[1])
+        else:
+            reached = self._orient()
+        if reached != n:
+            raise ValueError("edges do not form a connected tree")
 
     # -- construction helpers -------------------------------------------------
-
-    def _validate(self) -> None:
-        n = self.n
-        if n == 1:
-            return
-        if n <= _SMALL_N:
-            adj = self._build_adj()
-            # BFS from 0; with n-1 edges, full coverage implies acyclic too.
-            seen = bytearray(n)
-            seen[0] = 1
-            queue = [0]
-            head = 0
-            count = 1
-            while head < len(queue):
-                x = queue[head]
-                head += 1
-                for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = 1
-                        count += 1
-                        queue.append(y)
-            if count != n:
-                raise ValueError("edges do not form a connected tree")
-        else:
-            indptr, indices = self._csr()
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import connected_components
-
-            mat = csr_matrix(
-                (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n)
-            )
-            ncomp, _ = connected_components(mat, directed=False)
-            if ncomp != 1:
-                raise ValueError("edges do not form a connected tree")
-
-    def _check_ids(self, u: int, v: int) -> None:
-        n = self.n
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"loop edge at vertex {u}")
 
     def _build_adj(self):
         if self._adj is None:
             n = self.n
             adj = [[] for _ in range(n)]
-            for u, v in self.edges:
-                self._check_ids(u, v)
-                adj[u].append(v)
-                adj[v].append(u)
+            try:
+                for u, v in self.edges:
+                    if u < 0 or v >= n:
+                        raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
+                    if u == v:
+                        raise ValueError(f"loop edge at vertex {u}")
+                    adj[u].append(v)
+                    adj[v].append(u)
+            except TypeError:
+                raise ValueError(f"edge ({u}, {v}) has a non-integer id") from None
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 
-    def _edge_array(self):
-        """Edges as an (n-1, 2) int64 numpy array, cached."""
-        if self._earr is None:
-            self._earr = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        return self._earr
+    def _orient(self) -> int:
+        """Check the edge array and keep its BFS parents; returns vertices reached.
 
-    def _csr(self):
-        """Adjacency in CSR form (indptr, indices) as numpy arrays."""
-        if self._csr_cache is None:
-            n = self.n
-            e = self._edge_array()
-            if len(e) and (e.min() < 0 or e.max() >= n):
-                raise ValueError("edge ids outside 0..n-1")
-            if len(e) and (e[:, 0] == e[:, 1]).any():
-                raise ValueError("loop edge")
-            u = e[:, 0]
-            v = e[:, 1]
-            deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(deg, out=indptr[1:])
-            src = np.concatenate([u, v])
-            dst = np.concatenate([v, u])
-            order = np.argsort(src, kind="stable")
-            indices = dst[order].astype(np.int32)
-            self._csr_cache = (indptr, indices)
-        return self._csr_cache
+        ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0,
+        and ``_parent[0] == n`` serves as the sentinel of the size pass.
+        """
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import breadth_first_order
+
+        n = self.n
+        e = np.asarray(self.edges).reshape(-1, 2)
+        if e.dtype.kind not in "iu":
+            raise ValueError(f"edge ids must be integers, got array dtype {e.dtype}")
+        u = e[:, 0]
+        v = e[:, 1]
+        if u.min() < 0 or v.max() >= n:
+            raise ValueError(f"edge ids outside 0..{n - 1}")
+        if (u == v).any():
+            raise ValueError("loop edge")
+        mat = coo_matrix((np.ones(n - 1, dtype=np.int8), (u, v)), shape=(n, n))
+        order, parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
+        parent[0] = n
+        self._earr = e
+        self._parent = parent
+        return len(order)
 
     # -- structure accessors ---------------------------------------------------
 
@@ -271,96 +258,30 @@ class Tree:
 # -- Mostar index --------------------------------------------------------------
 
 
-def _subtree_orientation_small(t: Tree):
-    """(parent, sizes) with the tree rooted at vertex 0, pure Python."""
-    n = t.n
-    adj = t.adj
-    parent = [-1] * n
-    order = [0]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        px = parent[x]
+def _bfs(adj, root: int = 0) -> tuple[list[int], list[int]]:
+    """(parent, order) of a breadth-first search from ``root``, pure Python.
+
+    ``order`` lists the vertices reached; ``parent[root]`` and the
+    parent of every unreached vertex are -1.
+    """
+    parent = [-1] * len(adj)
+    parent[root] = root
+    order = [root]
+    for x in order:
         for y in adj[x]:
-            if y != px:
+            if parent[y] < 0:
                 parent[y] = x
                 order.append(y)
-    if len(order) != n:
-        raise ValueError("tree is not connected")
-    sizes = [1] * n
-    for i in range(n - 1, 0, -1):
-        x = order[i]
-        sizes[parent[x]] += sizes[x]
-    return parent, sizes
-
-
-def _subtree_orientation_numpy(t: Tree):
-    """(parent, sizes) as numpy arrays; frontier BFS with scipy fallback.
-
-    The frontier loop costs one numpy round per BFS level, so for trees
-    much deeper than ~sqrt(n) it falls back to scipy's C breadth-first
-    order plus a linear Python accumulation.
-    """
-    n = t.n
-    indptr, indices = t._csr()
-    budget = 4096 + 4 * math.isqrt(n)
-
-    parent = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    levels = []
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        if rounds > budget:
-            return _subtree_orientation_scipy(t)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        nbrs = indices[offsets + np.arange(total)].astype(np.int64)
-        src = np.repeat(frontier, counts)
-        mask = ~visited[nbrs]
-        new = nbrs[mask]
-        parent[new] = src[mask]
-        visited[new] = True
-        frontier = new
-        if new.size:
-            levels.append(new)
-    if not visited.all():
-        raise ValueError("tree is not connected")
-    sizes = np.ones(n, dtype=np.int64)
-    for level in reversed(levels):
-        np.add.at(sizes, parent[level], sizes[level])
-    return parent, sizes
-
-
-def _subtree_orientation_scipy(t: Tree):
-    n = t.n
-    indptr, indices = t._csr()
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    mat = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    order, pred = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
-    order_list = order.tolist()
-    pred_list = pred.tolist()
-    sizes = [1] * n
-    for i in range(n - 1, 0, -1):
-        x = order_list[i]
-        sizes[pred_list[x]] += sizes[x]
-    parent = np.asarray(pred_list, dtype=np.int64)
-    parent[0] = -1
-    return parent, np.asarray(sizes, dtype=np.int64)
+    parent[root] = -1
+    return parent, order
 
 
 def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
-    """Mostar index and per-edge splits in linear time.
+    """Mostar index and per-edge splits.
 
     Roots the tree at vertex 0 and computes every subtree size in one
-    pass; the split of edge (u, v) is then (s, n - s) for the child-side
+    pass: linear time in pure Python for trees of at most ``_SMALL_N``
+    vertices, O(n log depth) numpy work above that.  The split of edge (u, v) is then (s, n - s) for the child-side
     size s, and its contribution is ``|n - 2*s|``.
 
     Returns
@@ -372,8 +293,12 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
     n = t.n
     if n == 1:
         return 0, SplitSequence((), (), 1)
-    if n <= _SMALL_N:
-        parent, sizes = _subtree_orientation_small(t)
+    if t._parent is None:
+        parent, order = _bfs(t.adj)
+        sizes = [1] * n
+        for i in range(n - 1, 0, -1):
+            x = order[i]
+            sizes[parent[x]] += sizes[x]
         n_u_values = []
         total = 0
         for u, v in t.edges:
@@ -381,10 +306,20 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
             n_u_values.append(n_u)
             total += abs(n - 2 * n_u)
         return total, SplitSequence(t.edges, n_u_values, n)
-    parent, sizes = _subtree_orientation_numpy(t)
-    e = t._edge_array()
-    u = e[:, 0]
-    v = e[:, 1]
+    # Pointer doubling over the parent array kept by the constructor: after
+    # round k, count[x] counts the descendants of x fewer than 2**k levels
+    # below it and up[x] is its 2**k-th ancestor, or the sentinel n.  Each
+    # round adds the counts of the vertices exactly 2**k below, so the
+    # pass costs O(n log depth) with no loop over levels.
+    parent = t._parent
+    up = np.append(parent, n)
+    count = np.ones(n + 1)
+    while (up[:n] < n).any():
+        count += np.bincount(up, weights=count, minlength=n + 1)
+        up = up[up]
+    sizes = count[:n].astype(np.int64)
+    u = t._earr[:, 0]
+    v = t._earr[:, 1]
     n_u = np.where(parent[u] == v, sizes[u], n - sizes[v])
     total = int(np.abs(n - 2 * n_u).sum())
     return total, SplitSequence(t.edges, n_u.tolist(), n)
@@ -595,18 +530,7 @@ def _centers(t: Tree) -> list[int]:
 def _rooted_code(t: Tree, root: int) -> str:
     """AHU parenthesization of the tree rooted at ``root``."""
     n = t.n
-    adj = t.adj
-    parent = [-1] * n
-    order = [root]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        px = parent[x]
-        for y in adj[x]:
-            if y != px:
-                parent[y] = x
-                order.append(y)
+    parent, order = _bfs(t.adj, root)
     codes = [""] * n
     children: list[list[str]] = [[] for _ in range(n)]
     for x in reversed(order):

@@ -180,6 +180,11 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--claim", "T7.7")
         assert code == 2 and "unknown claim" in err
 
+    def test_empty_order_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "empty order range" in err
+
     def test_all_claims_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "all",
                            "--n-min", "5", "--n-max", "6")
@@ -209,6 +214,12 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--n", "5000", "--seed", "5")
         assert code == 0
         assert "skipped" in out
+
+    def test_reports_construction_before_index(self, capsys):
+        code, out, _ = run(capsys, "bench", "--n", "3000", "--seed", "5")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[1].startswith("random_tree:") and lines[2].startswith("mostar_fast:")
 
 
 def test_usage_error_exit_code():

@@ -62,13 +62,39 @@ class TestTreeConstruction:
             for v in t.adj[u]:
                 assert u in t.adj[v]
 
+    @pytest.mark.parametrize("n", [5, 3000])
+    @pytest.mark.parametrize(
+        "last_edge",
+        [
+            lambda n: (n - 2, n - 0.3),  # float id; truncates to a valid tree
+            lambda n: (n - 2, n),  # out of range
+            lambda n: (n - 1, n - 1),  # loop
+            lambda n: (0, 1),  # duplicate edge
+            lambda n: (0, n - 2),  # cycle, so n - 1 is cut off
+        ],
+        ids=["float-id", "out-of-range", "loop", "duplicate", "disconnected"],
+    )
+    def test_bad_edges_rejected_at_every_size(self, n, last_edge):
+        # a path whose last edge is replaced; both sides of _SMALL_N agree
+        edges = [(i, i + 1) for i in range(n - 2)] + [last_edge(n)]
+        with pytest.raises(ValueError):
+            Tree(n, edges)
+
+    def test_vertex_count_must_be_an_index(self):
+        import numpy as np
+
+        assert Tree(np.int64(3), [(0, 1), (1, 2)]).n == 3
+        for bad in (True, 3.0, "3"):
+            with pytest.raises(ValueError, match="positive integer"):
+                Tree(bad, [])
+
     def test_equality_ignores_edge_order(self):
         a = Tree(4, [(0, 1), (1, 2), (2, 3)])
         b = Tree(4, [(2, 3), (1, 0), (2, 1)])
         assert a == b
 
     def test_large_validation_path(self):
-        # exercises the sparse-matrix validation branch
+        # above _SMALL_N the constructor validates with scipy's BFS
         n = 5000
         t = Tree(n, [(i, i + 1) for i in range(n - 1)])
         assert t.n == n
@@ -131,21 +157,53 @@ class TestMostarIndex:
             t = random_tree(3 + seed * 7 % 120, seed)
             assert mostar_fast(t)[0] == mostar_bfs(t)[0]
 
-    def test_numpy_path_agrees_with_python_path(self):
-        # same tree pushed through both size regimes
-        t = random_tree(3000, 99)
-        total_large, splits_large = mostar_fast(t)
-        small = Tree(t.n, t.edges)
+    @staticmethod
+    def broom(n, depth):
+        # handle 0..h with the remaining n - h - 1 leaves on vertex h
+        h = depth - 1
+        return [(i, i + 1) for i in range(h)] + [(h, j) for j in range(h + 1, n)]
+
+    def test_numpy_path_agrees_with_python_path(self, monkeypatch):
+        # same tree built in both size regimes; the path and the broom are
+        # deep enough that the doubling pass runs 13 rounds
         import mostar.tree as tree_mod
 
-        old = tree_mod._SMALL_N
-        tree_mod._SMALL_N = 10**7
-        try:
+        n_path, n_broom, depth = 5000, 20000, 5000
+        h = depth - 1
+        cases = [
+            (random_tree(3000, 99).edges, 3000, None),
+            ([(i, i + 1) for i in range(n_path - 1)], n_path, (n_path - 1) ** 2 // 2),
+            (
+                self.broom(n_broom, depth),
+                n_broom,
+                h * n_broom - h * (h + 1) + (n_broom - h - 1) * (n_broom - 2),
+            ),
+        ]
+        large = [Tree(n, edges) for edges, n, _ in cases]
+        monkeypatch.setattr(tree_mod, "_SMALL_N", 10**7)
+        for t, (edges, n, expected) in zip(large, cases):
+            small = Tree(n, edges)
+            assert t._parent is not None and small._parent is None
+            total_large, splits_large = mostar_fast(t)
             total_small, splits_small = mostar_fast(small)
-        finally:
-            tree_mod._SMALL_N = old
-        assert total_large == total_small
-        assert list(splits_large) == list(splits_small)
+            assert total_large == total_small
+            assert list(splits_large) == list(splits_small)
+            if expected is not None:
+                assert total_large == expected
+
+    def test_array_regime_equals_oracle(self, monkeypatch):
+        # force every tree of order 2..8 through the scipy BFS and doubling pass
+        import mostar.tree as tree_mod
+
+        monkeypatch.setattr(tree_mod, "_SMALL_N", 1)
+        for n in range(2, 9):
+            for t in all_trees(n):
+                forced = Tree(n, t.edges)
+                assert forced._parent is not None
+                ft, fs = mostar_fast(forced)
+                bt, bs = mostar_bfs(forced)
+                assert ft == bt
+                assert list(fs) == list(bs)
 
     def test_splits_align_with_edges(self):
         t = build(FamilySpec.c(7, 1, 1))
