@@ -14,6 +14,7 @@ Subcommands:
                            applies).
 * ``verify``             - run registered extremal claims over an order
                            range; exit 1 when any valid instance fails.
+                           The ok/fail/invalid/empty counts go to stderr.
 * ``bench``              - time the linear-pass index against the
                            quadratic definitional oracle.
 
@@ -27,7 +28,10 @@ import itertools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional
+
+import numpy as np
 
 from . import io as tio
 from .enumeration import DEFAULT_CAP, ConstraintSpec, random_tree, trees_satisfying
@@ -53,12 +57,32 @@ from .verify import (
 DEFAULT_SEED = 20220721
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+@contextmanager
+def _output(out: Optional[str]):
+    """The stream for ``--out``: stdout for None or ``-``, else the file."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(text: str, out: Optional[str]) -> None:
+    with _output(out) as fh:
+        fh.write(text)
+
+
+_ROW = "  (%d, %d)  n_u=%d  n_v=%d  psi=%d\n"
+_TABLE_BLOCK = 8192
+
+
+def _write_table(fh, n: int, splits) -> None:
+    """One row per split, formatted from int64 columns a block at a time."""
+    edges, n_u = splits._columns()
+    for lo in range(0, len(n_u), _TABLE_BLOCK):
+        s = n_u[lo:lo + _TABLE_BLOCK]
+        block = np.column_stack((edges[lo:lo + _TABLE_BLOCK], s, n - s, np.abs(n - 2 * s)))
+        fh.write((_ROW * len(s)) % tuple(block.ravel().tolist()))
 
 
 def _cmd_compute(args) -> int:
@@ -75,11 +99,10 @@ def _cmd_compute(args) -> int:
         }
         _write_output(json.dumps(obj, indent=2) + "\n", args.out)
     else:
-        lines = [f"Mo = {total}"]
-        if not args.total_only:
-            lines += [f"  ({u}, {v})  n_u={s.n_u}  n_v={s.n_v}  psi={s.psi}"
-                      for (u, v), s in zip(t.edges, splits)]
-        _write_output("\n".join(lines) + "\n", args.out)
+        with _output(args.out) as fh:
+            fh.write(f"Mo = {total}\n")
+            if not args.total_only:
+                _write_table(fh, t.n, splits)
     return 0
 
 
@@ -221,7 +244,12 @@ def _cmd_verify(args) -> int:
                 f"brute={r.brute_value} claimed={r.claimed_value} "
                 f"unique={r.argopt_unique} {status}")
         _write_output("\n".join(lines) + "\n", args.out)
+    # invalid and empty-class instances pass vacuously; count them apart
+    invalid = sum(1 for r in reports if r.invalid is not None)
+    empty = sum(1 for r in reports if r.invalid is None and r.empty_class)
     failures = failed_reports(reports)
+    print(f"ok={len(reports) - len(failures) - invalid - empty} fail={len(failures)} "
+          f"invalid={invalid} empty={empty}", file=sys.stderr)
     if failures:
         print(f"{len(failures)} failing instance(s)", file=sys.stderr)
         return 1

@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 from typing import IO, Union
 
+import numpy as np
+
 from .tree import Tree
 
 __all__ = [
@@ -36,15 +38,22 @@ def to_edge_list_text(t: Tree) -> str:
 
 
 def parse_edge_list(text: str) -> Tree:
-    """Parse the edge-list format; malformed input raises ``ValueError``."""
+    """Parse the edge-list format; malformed input raises ``ValueError``.
+
+    Tokens are whitespace separated and read as one int64 array, so an
+    id outside the 64-bit range is rejected like any other bad token.
+    """
     tokens = text.split()
     if not tokens:
         raise ValueError("empty edge-list input")
     try:
-        values = [int(tok) for tok in tokens]
+        values = np.array(tokens, dtype=np.int64)
     except ValueError as exc:
         raise ValueError(f"edge list contains a non-integer token: {exc}") from None
-    n = values[0]
+    except OverflowError as exc:
+        raise ValueError(f"edge list contains an id outside the 64-bit range: {exc}") from None
+    del tokens  # the strings outweigh the array; free them before building
+    n = int(values[0])
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
     rest = values[1:]
@@ -52,8 +61,7 @@ def parse_edge_list(text: str) -> Tree:
         raise ValueError(
             f"expected {n - 1} edges ({2 * (n - 1)} ids) after the header, got {len(rest)} ids"
         )
-    edges = [(rest[2 * i], rest[2 * i + 1]) for i in range(n - 1)]
-    return Tree(n, edges)
+    return Tree(n, rest.reshape(-1, 2))
 
 
 def write_edge_list(t: Tree, target: Union[PathLike, IO[str]]) -> None:

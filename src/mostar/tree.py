@@ -54,6 +54,9 @@ __all__ = [
 # constructor calls scipy and keeps the parent array for mostar_fast.
 _SMALL_N = 2048
 
+# Rows per block when array-backed splits are turned into Python objects.
+_BLOCK = 8192
+
 
 class EdgeSplit(NamedTuple):
     """Per-edge split: component counts on each side and the contribution."""
@@ -67,39 +70,54 @@ class EdgeSplit(NamedTuple):
 class SplitSequence(Sequence):
     """Sequence of :class:`EdgeSplit`, materialized lazily.
 
-    Backed by the edge tuple of the tree and the parallel list of
-    ``n_u`` counts, so a million-edge result costs O(n) memory without
-    paying for a million record objects up front.  Supports ``len``,
+    Backed by two parallel columns: the edges and the ``n_u`` counts.
+    Above ``_SMALL_N`` they are the tree's ``(n - 1, 2)`` int64 edge
+    array and an int64 array; below it (and for :func:`mostar_bfs`)
+    the tree's edge tuple and a list.  A million-edge result therefore
+    costs two arrays, and :class:`EdgeSplit` records, with Python ints,
+    are built only on indexing or iteration.  Supports ``len``,
     indexing, slicing and iteration like a plain list.
     """
 
     __slots__ = ("_edges", "_n_u", "_n")
 
-    def __init__(self, edges: Sequence[tuple[int, int]], n_u_values: Sequence[int], n: int):
+    def __init__(self, edges, n_u_values, n: int):
         self._edges = edges
         self._n_u = n_u_values
         self._n = n
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._n_u)
 
-    def _make(self, i: int) -> EdgeSplit:
-        n_u = self._n_u[i]
-        return EdgeSplit(self._edges[i], n_u, self._n - n_u, abs(self._n - 2 * n_u))
+    def _block(self, lo: int, hi: int) -> Iterator[EdgeSplit]:
+        """The records of rows lo..hi-1, built from Python ints."""
+        n = self._n
+        edges, n_u = self._edges[lo:hi], self._n_u[lo:hi]
+        if isinstance(n_u, np.ndarray):
+            edges = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
+            n_v, psi, n_u = (n - n_u).tolist(), np.abs(n - 2 * n_u).tolist(), n_u.tolist()
+        else:
+            n_v = [n - s for s in n_u]
+            psi = [abs(n - 2 * s) for s in n_u]
+        return map(EdgeSplit._make, zip(edges, n_u, n_v, psi))
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges as an (m, 2) int64 array and ``n_u`` as an int64 array."""
+        return (np.asarray(self._edges, dtype=np.int64).reshape(-1, 2),
+                np.asarray(self._n_u, dtype=np.int64))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._make(j) for j in range(*i.indices(len(self)))]
+            return [next(self._block(j, j + 1)) for j in range(*i.indices(len(self)))]
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return self._make(i)
+        return next(self._block(i, i + 1))
 
     def __iter__(self) -> Iterator[EdgeSplit]:
-        n = self._n
-        for edge, n_u in zip(self._edges, self._n_u):
-            yield EdgeSplit(edge, n_u, n - n_u, abs(n - 2 * n_u))
+        for lo in range(0, len(self), _BLOCK):
+            yield from self._block(lo, lo + _BLOCK)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (SplitSequence, list, tuple)):
@@ -126,11 +144,16 @@ class Tree:
     small trees keep only their adjacency and search again on demand,
     which costs less than storing the orientation of every tree.
 
-    Edges are stored with each pair normalized to ``(min, max)``, in the
-    order given to the constructor.
+    Each edge is normalized to ``(min, max)`` and kept in the order
+    given to the constructor.  Up to ``_SMALL_N`` vertices the edges
+    are stored as a tuple of pairs (an ndarray input is converted with
+    ``tolist`` first).  Above it they are stored as an ``(n - 1, 2)``
+    int64 array, and ``edges`` is a tuple view of that array, built on
+    first use.  Either way an ndarray input gives Python ints in
+    ``edges`` and ``adj``.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set", "_canon")
+    __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set", "_canon")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -141,14 +164,8 @@ class Tree:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}") from None
         if n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        try:
-            norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
-        except TypeError as exc:
-            raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
-        if len(norm) != n - 1:
-            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
         self.n = n
-        self.edges = norm
+        self._edges = None
         self._adj = None
         self._degrees = None
         self._earr = None
@@ -156,9 +173,23 @@ class Tree:
         self._edge_set = None
         self._canon = None
         if n <= _SMALL_N:
+            if isinstance(edges, np.ndarray):
+                edges = edges.tolist()
+            try:
+                norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
+            except TypeError as exc:
+                raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
+            if len(norm) != n - 1:
+                raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
+            self._edges = norm
             reached = len(_bfs(self._build_adj())[1])
         else:
-            reached = self._orient()
+            if not isinstance(edges, (np.ndarray, list, tuple)):
+                try:
+                    edges = list(edges)
+                except TypeError as exc:
+                    raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
+            reached = self._orient(np.asarray(edges))
         if reached != n:
             raise ValueError("edges do not form a connected tree")
 
@@ -181,7 +212,7 @@ class Tree:
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 
-    def _orient(self) -> int:
+    def _orient(self, e: np.ndarray) -> int:
         """Check the edge array and keep its BFS parents; returns vertices reached.
 
         ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0,
@@ -191,9 +222,14 @@ class Tree:
         from scipy.sparse.csgraph import breadth_first_order
 
         n = self.n
-        e = np.asarray(self.edges).reshape(-1, 2)
+        count = len(e) if e.ndim else 0
+        if count != n - 1:
+            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
+        if e.shape[1:] != (2,):
+            raise ValueError(f"edges must be pairs of integer ids, got array shape {e.shape}")
         if e.dtype.kind not in "iu":
             raise ValueError(f"edge ids must be integers, got array dtype {e.dtype}")
+        e = np.sort(e.astype(np.int64, copy=False), axis=1)
         u = e[:, 0]
         v = e[:, 1]
         if u.min() < 0 or v.max() >= n:
@@ -203,11 +239,19 @@ class Tree:
         mat = coo_matrix((np.ones(n - 1, dtype=np.int8), (u, v)), shape=(n, n))
         order, parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
         parent[0] = n
+        e.flags.writeable = False  # every SplitSequence of this tree shares it
         self._earr = e
         self._parent = parent
         return len(order)
 
     # -- structure accessors ---------------------------------------------------
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Edge pairs ``(min, max)`` in constructor order."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self._earr.tolist()))
+        return self._edges
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -252,7 +296,7 @@ class Tree:
     def __repr__(self) -> str:
         if self.n <= 12:
             return f"Tree(n={self.n}, edges={list(self.edges)})"
-        return f"Tree(n={self.n}, <{len(self.edges)} edges>)"
+        return f"Tree(n={self.n}, <{self.n - 1} edges>)"
 
 
 # -- Mostar index --------------------------------------------------------------
@@ -281,8 +325,9 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
 
     Roots the tree at vertex 0 and computes every subtree size in one
     pass: linear time in pure Python for trees of at most ``_SMALL_N``
-    vertices, O(n log depth) numpy work above that.  The split of edge (u, v) is then (s, n - s) for the child-side
-    size s, and its contribution is ``|n - 2*s|``.
+    vertices, O(n log depth) numpy work above that.  The split of edge
+    (u, v) is then (s, n - s) for the child-side size s, and its
+    contribution is ``|n - 2*s|``.
 
     Returns
     -------
@@ -322,7 +367,7 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
     v = t._earr[:, 1]
     n_u = np.where(parent[u] == v, sizes[u], n - sizes[v])
     total = int(np.abs(n - 2 * n_u).sum())
-    return total, SplitSequence(t.edges, n_u.tolist(), n)
+    return total, SplitSequence(t._earr, n_u, n)
 
 
 def _bfs_distances(adj, start: int) -> list[int]:

@@ -4,7 +4,18 @@ import json
 
 import pytest
 
-from mostar import FamilySpec, build, is_isomorphic, mostar_fast, parse_edge_list, tree_from_record, write_edge_list
+from mostar import (
+    FamilySpec,
+    Tree,
+    build,
+    is_isomorphic,
+    mostar_bfs,
+    mostar_fast,
+    parse_edge_list,
+    random_tree,
+    tree_from_record,
+    write_edge_list,
+)
 from mostar.cli import main
 
 
@@ -43,6 +54,60 @@ class TestCompute:
         write_edge_list(t, f)
         code, out, _ = run(capsys, "compute", str(f), "--total-only")
         assert out.strip() == f"Mo = {mostar_fast(t)[0]}"
+
+    @staticmethod
+    def per_row_table(t, index=mostar_fast):
+        # the table as one f-string per EdgeSplit record
+        total, splits = index(t)
+        rows = [f"  ({s.edge[0]}, {s.edge[1]})  n_u={s.n_u}  n_v={s.n_v}  psi={s.psi}"
+                for s in list(splits)]
+        return "\n".join([f"Mo = {total}", *rows]) + "\n"
+
+    @pytest.mark.parametrize("t", [random_tree(3000, 17), Tree(1, []), Tree(2, [(1, 0)])],
+                             ids=["random3000", "n1", "n2"])
+    def test_table_same_in_both_regimes_and_sinks(self, capsys, tmp_path, monkeypatch, t):
+        import mostar.cli as cli_mod
+        import mostar.tree as tree_mod
+
+        f = tmp_path / "t.txt"
+        write_edge_list(t, f)
+        expected = self.per_row_table(t)
+        # the other regime: 3000 vertices as a small tree, n = 2 as an array
+        other = 10**7 if t.n > tree_mod._SMALL_N else 1
+        outputs = []
+        for small_n, block in ((tree_mod._SMALL_N, cli_mod._TABLE_BLOCK), (other, 1000)):
+            monkeypatch.setattr(tree_mod, "_SMALL_N", small_n)
+            monkeypatch.setattr(cli_mod, "_TABLE_BLOCK", block)
+            code, out, _ = run(capsys, "compute", str(f))
+            assert code == 0
+            outputs.append(out)
+            target = tmp_path / f"out{small_n}.txt"
+            code, out, _ = run(capsys, "compute", str(f), "--out", str(target))
+            assert code == 0 and out == ""
+            outputs.append(target.read_text())
+        assert outputs == [expected] * 4
+
+    def test_oracle_table_and_json_match_records(self, capsys, path7_file):
+        t = parse_edge_list(open(path7_file).read())
+        code, out, _ = run(capsys, "compute", path7_file, "--oracle")
+        assert code == 0 and out == self.per_row_table(t, mostar_bfs)
+        code, out, _ = run(capsys, "compute", path7_file, "--format", "json")
+        total, splits = mostar_fast(t)
+        assert code == 0 and json.loads(out) == {
+            "n": 7,
+            "mostar": total,
+            "splits": [{"edge": list(s.edge), "n_u": s.n_u, "n_v": s.n_v, "psi": s.psi}
+                       for s in splits],
+        }
+
+    @pytest.mark.parametrize("n", [3, 3000])
+    def test_overflowing_id_exits_2(self, capsys, tmp_path, n):
+        f = tmp_path / "big.txt"
+        f.write_text("".join([f"{n}\n", *(f"{i} {i + 1}\n" for i in range(n - 2)),
+                              f"{n - 2} 12345678901234567890\n"]))
+        code, out, err = run(capsys, "compute", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "64-bit" in err
 
 
 class TestFamily:
@@ -184,6 +249,29 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "5")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "empty order range" in err
+
+    def test_status_counts_on_stderr(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "T2.1",
+                             "--n-min", "5", "--n-max", "6")
+        assert code == 0 and out.count(" ok\n") == 4
+        assert err.splitlines() == ["ok=4 fail=0 invalid=0 empty=0"]
+
+    @pytest.mark.parametrize("patch, status, counts", [
+        ("claimed_extremal", " INVALID (", "ok=0 fail=0 invalid=4 empty=0"),
+        ("extremal_search", " EMPTY CLASS", "ok=0 fail=0 invalid=0 empty=4"),
+    ], ids=["invalid", "empty"])
+    def test_vacuous_instances_are_counted_apart(self, capsys, monkeypatch, patch, status, counts):
+        # with no claimed family, or an empty class, nothing is checked:
+        # exit 0, but no instance counts as ok
+        import mostar.verify as verify_mod
+
+        stub = {"claimed_extremal": lambda n, constraint, direction: None,
+                "extremal_search": lambda n, constraint, direction, cap=None: (None, [])}
+        monkeypatch.setattr(verify_mod, patch, stub[patch])
+        code, out, err = run(capsys, "verify", "--claim", "T2.1",
+                             "--n-min", "5", "--n-max", "6")
+        assert code == 0 and out.count(status) == 4
+        assert err.splitlines() == [counts]
 
     def test_all_claims_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "all",

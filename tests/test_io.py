@@ -1,7 +1,9 @@
 """Edge-list, DOT and NDJSON record round trips."""
 
 import io
+import json
 
+import numpy as np
 import pytest
 
 from mostar import (
@@ -50,13 +52,34 @@ def test_stream_write():
     assert parse_edge_list(buf.getvalue()) == t
 
 
+def _path_text(n, last):
+    """Edge-list text of a path on n vertices whose last line is ``last``."""
+    return "".join([f"{n}\n", *(f"{i} {i + 1}\n" for i in range(n - 2)), last + "\n"])
+
+
 @pytest.mark.parametrize(
     "text",
-    ["", "3\n0 1\n", "3\n0 1\n1 2\n2 0\n", "2\n0 x\n", "0\n", "4\n0 1\n1 2\n3 3\n"],
+    [
+        "", "3\n0 1\n", "3\n0 1\n1 2\n2 0\n", "2\n0 x\n", "0\n", "4\n0 1\n1 2\n3 3\n",
+        # bad tokens on the last line, on both sides of the small-tree threshold
+        *(pytest.param(_path_text(n, last), id=f"n{n}-{name}") for n in (3, 3000)
+          for name, last in (("20-digit-id", f"{n - 2} 12345678901234567890"),
+                             ("fraction", f"{n - 2} 2.5"), ("sign-only", f"+x {n - 1}"))),
+    ],
 )
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("n", [3, 3000])
+def test_ids_are_python_ints_and_records_round_trip(n):
+    edges = np.array([(i + 1, i) for i in range(n - 1)])
+    for t in (Tree(n, edges), parse_edge_list(_path_text(n, f"{n - 2} {n - 1}"))):
+        assert type(t.edges[0][0]) is int and type(t.edges[-1][1]) is int
+        assert type(t.adj[0][0]) is int
+        back = tree_from_record(json.loads(json.dumps(tree_record(t))))
+        assert back == t and back.edges == t.edges
 
 
 def test_dot_output():

@@ -1,0 +1,46 @@
+"""Property tests on random labeled trees from both size regimes."""
+
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mostar.tree as tree_mod
+from mostar import Tree, mostar_fast, parse_edge_list, to_edge_list_text
+from mostar.enumeration import prufer_to_edges
+
+SMALL_N = tree_mod._SMALL_N
+
+
+@st.composite
+def relabeled_trees(draw):
+    """(n, edges): a Prufer-decoded tree, relabeled and shuffled, of an
+    order on either side of the small-tree threshold."""
+    n = draw(st.one_of(st.integers(2, 60), st.integers(SMALL_N + 1, SMALL_N + 400)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = prufer_to_edges([rng.randrange(n) for _ in range(n - 2)]) if n > 2 else [(0, 1)]
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in edges]
+    rng.shuffle(edges)
+    return n, edges
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(relabeled_trees())
+def test_text_round_trip_and_regimes_agree(case):
+    n, edges = case
+    t = Tree(n, edges)
+    assert (t._parent is None) == (n <= SMALL_N)
+    assert parse_edge_list(to_edge_list_text(t)) == t
+    # the same edges built in the other regime give the same splits
+    with mock.patch.object(tree_mod, "_SMALL_N", 1 if n <= SMALL_N else 10**7):
+        other = Tree(n, edges)
+    assert (other._parent is None) != (t._parent is None)
+    assert other.edges == t.edges
+    total, splits = mostar_fast(t)
+    other_total, other_splits = mostar_fast(other)
+    assert total == other_total == sum(s.psi for s in splits)
+    assert list(splits) == list(other_splits)

@@ -210,6 +210,19 @@ class TestMostarIndex:
         _, splits = mostar_fast(t)
         assert [s.edge for s in splits] == list(t.edges)
 
+    @pytest.mark.parametrize("small_n", [10**7, 1], ids=["list-backed", "array-backed"])
+    def test_split_iteration_crosses_blocks(self, monkeypatch, small_n):
+        # iteration works a block of rows at a time; indexing builds one row
+        import mostar.tree as tree_mod
+
+        monkeypatch.setattr(tree_mod, "_SMALL_N", small_n)
+        monkeypatch.setattr(tree_mod, "_BLOCK", 7)
+        t = random_tree(40, 3)
+        _, splits = mostar_fast(t)
+        assert [s.edge for s in splits] == list(t.edges)
+        assert list(splits) == [splits[i] for i in range(len(splits))] == splits[:]
+        assert all(type(x) is int for s in splits for x in (*s.edge, s.n_u, s.n_v, s.psi))
+
     def test_split_sequence_slicing(self):
         _, splits = mostar_fast(path(6))
         assert isinstance(splits[0], EdgeSplit)
