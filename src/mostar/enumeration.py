@@ -1,11 +1,11 @@
 """Exhaustive and randomized tree generation.
 
 ``all_trees(n)`` streams one representative per isomorphism class of
-trees of order n, in the deterministic canonical level-sequence order
-of networkx's free-tree generator, so a stream can be resumed or
-sharded by index ranges.  ``trees_satisfying`` filters a stream by a
-tree-class constraint.  ``random_tree`` decodes a uniformly random
-Prufer sequence, giving a uniform distribution over labeled (not
+trees of order n, in the deterministic level-sequence order of the
+Wright-Richmond-Odlyzko-McKay free-tree generator, so a stream can be
+resumed or sharded by index ranges.  ``trees_satisfying`` filters a
+stream by a tree-class constraint.  ``random_tree`` decodes a uniformly
+random Prufer sequence, giving a uniform distribution over labeled (not
 unlabeled) trees, which is all the randomized test suites need.
 
 The enumeration cap (default 18) guards against accidentally asking
@@ -163,12 +163,73 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
             "raise the cap explicitly if you really want this")
 
 
+def _next_rooted(seq: list[int], p: int) -> None:
+    """Beyer-Hedetniemi successor of a rooted level sequence, in place.
+
+    The block from the parent ``q`` of vertex ``p`` up to ``p`` is
+    repeated over the tail from ``p`` on.
+    """
+    n = len(seq)
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[: n - p]
+
+
+def _first_subtree_end(seq: list[int]) -> int:
+    """End of the root's first subtree: its second depth-1 vertex, or n."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
+
+
+def _free_trees(n: int) -> Iterator[Tree]:
+    """Every free tree of order n >= 2 once, by the Wright-Richmond-
+    Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986).
+
+    A tree is walked as a level sequence, the depth of each vertex in
+    preorder from a root at a center.  Rooted trees follow one another
+    by the Beyer-Hedetniemi successor.  A sequence is the one kept for
+    its free tree unless the root's first subtree L is higher than the
+    rest R, or as high and larger, or as high, as large and
+    lexicographically later; such a sequence is replaced by a jump to
+    the next one that is kept.  Vertex ``i`` is position ``i`` of the
+    sequence, and the edges are listed by child.
+    """
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path, rooted at a center
+    last = [0] * n  # last[d]: the latest vertex at depth d, the parent of depth d + 1
+    while True:
+        m = _first_subtree_end(seq)
+        left = [d - 1 for d in seq[1:m]]
+        rest = [0] + seq[m:]
+        hl, hr = max(left), max(rest)
+        if hr < hl or hr == hl and (len(left) > len(rest) or len(left) == len(rest) and left > rest):
+            deep = seq[m - 1] > 2
+            _next_rooted(seq, m - 1)
+            if deep:
+                h = max(seq[1:_first_subtree_end(seq)])
+                seq[n - h:] = range(1, h + 1)
+        edges = []
+        for i in range(1, n):
+            d = seq[i]
+            edges.append((last[d - 1], i))
+            last[d] = i
+        yield Tree(n, edges)
+        p = n - 1
+        while seq[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        _next_rooted(seq, p)
+
+
 def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
     """One tree per isomorphism class of order n, deterministically.
 
-    Classes are emitted in the canonical level-sequence order of the
-    underlying generator; counts match the free-tree sequence
-    1, 1, 1, 2, 3, 6, 11, 23, 47, 106, ...
+    Classes are emitted in the level-sequence order of the Wright-
+    Richmond-Odlyzko-McKay generator; counts match the free-tree
+    sequence 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, ...
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -176,10 +237,7 @@ def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
     if n == 1:
         yield Tree(1, [])
         return
-    import networkx as nx
-
-    for g in nx.nonisomorphic_trees(n):
-        yield Tree(n, list(g.edges()))
+    yield from _free_trees(n)
 
 
 def trees_satisfying(n: int, constraint: ConstraintSpec, cap: Optional[int] = None) -> Iterator[Tree]:

@@ -146,11 +146,11 @@ class Tree:
 
     Each edge is normalized to ``(min, max)`` and kept in the order
     given to the constructor.  Up to ``_SMALL_N`` vertices the edges
-    are stored as a tuple of pairs (an ndarray input is converted with
-    ``tolist`` first).  Above it they are stored as an ``(n - 1, 2)``
+    are stored as a tuple of pairs of Python ints (an ndarray input is
+    converted with ``tolist`` first, any other integer-like id with
+    ``operator.index``).  Above it they are stored as an ``(n - 1, 2)``
     int64 array, and ``edges`` is a tuple view of that array, built on
-    first use.  Either way an ndarray input gives Python ints in
-    ``edges`` and ``adj``.
+    first use.  Either way ``edges`` and ``adj`` hold Python ints.
     """
 
     __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set", "_canon")
@@ -175,8 +175,9 @@ class Tree:
         if n <= _SMALL_N:
             if isinstance(edges, np.ndarray):
                 edges = edges.tolist()
+            index = operator.index  # numpy or other integer-like ids become Python ints
             try:
-                norm = tuple((u, v) if u < v else (v, u) for u, v in edges)
+                norm = tuple((index(u), index(v)) if u < v else (index(v), index(u)) for u, v in edges)
             except TypeError as exc:
                 raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
             if len(norm) != n - 1:
@@ -199,16 +200,13 @@ class Tree:
         if self._adj is None:
             n = self.n
             adj = [[] for _ in range(n)]
-            try:
-                for u, v in self.edges:
-                    if u < 0 or v >= n:
-                        raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
-                    if u == v:
-                        raise ValueError(f"loop edge at vertex {u}")
-                    adj[u].append(v)
-                    adj[v].append(u)
-            except TypeError:
-                raise ValueError(f"edge ({u}, {v}) has a non-integer id") from None
+            for u, v in self.edges:
+                if u < 0 or v >= n:
+                    raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
+                if u == v:
+                    raise ValueError(f"loop edge at vertex {u}")
+                adj[u].append(v)
+                adj[v].append(u)
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .enumeration import DEFAULT_CAP, ConstraintSpec, all_trees
+from .enumeration import ConstraintSpec, _check_cap, all_trees
 from .families import FamilySpec, ParameterError, build, claimed_extremal
 from .tree import Tree, canonical_form, mostar_fast, stats
 
@@ -124,9 +124,10 @@ class _Record:
 
 
 @lru_cache(maxsize=16)
-def _records(n: int, cap: Optional[int]) -> tuple:
+def _records(n: int) -> tuple:
+    """Every class of order n with its index and stats; callers check the cap."""
     out = []
-    for t in all_trees(n, cap=cap):
+    for t in all_trees(n, cap=n):
         st = stats(t) if t.n >= 2 else None
         out.append(_Record(t, mostar_fast(t)[0], st))
     return tuple(out)
@@ -147,10 +148,11 @@ def extremal_search(
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     constraint.validate()
+    _check_cap(n, cap)
     best: Optional[int] = None
     argopt: list[Tree] = []
     want_max = direction == "max"
-    for rec in _records(n, cap):
+    for rec in _records(n):
         if rec.st is None:
             if constraint.kind != "unconstrained":
                 continue
@@ -391,8 +393,9 @@ def check_degree_sequence_structure(n: int, cap: Optional[int] = None) -> Degree
     """
     if n < 2:
         return DegreeSequenceStructureReport(n=n, sequences_checked=0, violations=())
+    _check_cap(n, cap)
     groups: dict[tuple[int, ...], list[_Record]] = {}
-    for rec in _records(n, cap):
+    for rec in _records(n):
         groups.setdefault(rec.st.degree_sequence, []).append(rec)
     violations = []
     for seq, recs in groups.items():

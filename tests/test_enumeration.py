@@ -1,9 +1,16 @@
 """Free-tree enumeration, class filtering, and random labeled trees."""
 
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mostar
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
@@ -59,6 +66,32 @@ class TestAllTrees:
         a = [t.edges for t in all_trees(9)]
         b = [t.edges for t in all_trees(9)]
         assert a == b
+
+    def test_classes_order_and_labels_frozen(self):
+        # Every class to order 12, edges sorted, in emission order: the
+        # generator may list a tree's edges in any order, but must not
+        # change which classes come out, in what order, or their labels.
+        text = json.dumps([[n, sorted(t.edges)] for n in range(1, 13) for t in all_trees(n)])
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "a8a826c0f140943e90daebcec88586e5b3fd59a70dd680950e73c11303255d9f"
+
+    def test_enumeration_verify_and_cli_never_import_networkx(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import mostar\n"
+            "from mostar import all_trees, check_claim, cli\n"
+            "assert sum(1 for _ in all_trees(8)) == 23\n"
+            "assert all(r.passed for r in check_claim('T2.1', 4, 6))\n"
+            "assert cli.main(['enumerate', '--n', '6', '--out', sys.argv[1]]) == 0\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+        )
+        src = str(Path(mostar.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / "trees.ndjson"
+        res = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert len(out.read_text().splitlines()) == 6
 
 
 class TestPruferDedupOracle:

@@ -75,7 +75,8 @@ def test_malformed_inputs_rejected(text):
 @pytest.mark.parametrize("n", [3, 3000])
 def test_ids_are_python_ints_and_records_round_trip(n):
     edges = np.array([(i + 1, i) for i in range(n - 1)])
-    for t in (Tree(n, edges), parse_edge_list(_path_text(n, f"{n - 2} {n - 1}"))):
+    scalars = [(np.int64(u), np.int32(v)) for u, v in edges.tolist()]
+    for t in (Tree(n, edges), Tree(n, scalars), parse_edge_list(_path_text(n, f"{n - 2} {n - 1}"))):
         assert type(t.edges[0][0]) is int and type(t.edges[-1][1]) is int
         assert type(t.adj[0][0]) is int
         back = tree_from_record(json.loads(json.dumps(tree_record(t))))

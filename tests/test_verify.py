@@ -6,6 +6,7 @@ import pytest
 
 from mostar import (
     ConstraintSpec,
+    EnumerationCapError,
     FamilySpec,
     build,
     canonical_form,
@@ -19,6 +20,7 @@ from mostar import (
 )
 from mostar.verify import (
     REGISTRY,
+    _records,
     failed_reports,
     reports_to_csv,
     reports_to_json_obj,
@@ -51,6 +53,19 @@ class TestExtremalSearch:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             extremal_search(6, ConstraintSpec.unconstrained(), "sideways")
+
+    def test_one_record_table_per_order_whatever_the_cap(self):
+        _records.cache_clear()
+        everything = ConstraintSpec.unconstrained()
+        extremal_search(8, everything, "max")  # library default cap
+        extremal_search(8, everything, "min", cap=18)  # the CLI's cap
+        check_degree_sequence_structure(8, cap=8)
+        assert _records.cache_info().misses == 1
+        # The cap still guards an order that is already cached.
+        with pytest.raises(EnumerationCapError):
+            extremal_search(8, everything, "max", cap=7)
+        with pytest.raises(EnumerationCapError):
+            check_degree_sequence_structure(8, cap=7)
 
 
 class TestClaims:
