@@ -243,12 +243,11 @@ def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
 def trees_satisfying(n: int, constraint: ConstraintSpec, cap: Optional[int] = None) -> Iterator[Tree]:
     """Filter ``all_trees(n)`` by a tree-class constraint."""
     constraint.validate()
+    if constraint.kind == "unconstrained":
+        yield from all_trees(n, cap=cap)
+        return
     for t in all_trees(n, cap=cap):
-        if t.n < 2:
-            if constraint.kind == "unconstrained":
-                yield t
-            continue
-        if constraint.matches(stats(t)):
+        if t.n >= 2 and constraint.matches(stats(t)):
             yield t
 
 

@@ -28,11 +28,10 @@ are never mutated.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .tree import Tree, mostar_fast, stats
+from .tree import Tree, _chain, _path, _side, mostar_fast, stats
 
 __all__ = [
     "HypothesisError",
@@ -50,6 +49,13 @@ __all__ = [
 
 class HypothesisError(ValueError):
     """The structural precondition of a transform does not hold."""
+
+
+def _check_ids(t: Tree, *ids: int) -> None:
+    """Reject vertex ids outside 0..n-1 before they index the tree."""
+    bad = [v for v in ids if not 0 <= v < t.n]
+    if bad:
+        raise ValueError(f"vertex ids {bad} outside 0..{t.n - 1}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,7 @@ def contract_with_pendant(t: Tree, edge: tuple[int, int]) -> Tree:
     is preserved.  A pendent edge is rejected.
     """
     u, v = edge
+    _check_ids(t, u, v)
     key = (u, v) if u < v else (v, u)
     if key not in t.edge_set():
         raise ValueError(f"({u}, {v}) is not an edge of this tree")
@@ -103,18 +110,8 @@ def contract_with_pendant(t: Tree, edge: tuple[int, int]) -> Tree:
 def _pendant_legs(t: Tree, u: int) -> list[list[int]]:
     """Pendent paths hanging at u, one vertex list per leg (tip last)."""
     deg = t.degrees
-    legs = []
-    for x in sorted(t.adj[u]):
-        leg = [x]
-        prev = u
-        cur = x
-        while deg[cur] == 2:
-            nxt = t.adj[cur][0] if t.adj[cur][0] != prev else t.adj[cur][1]
-            prev, cur = cur, nxt
-            leg.append(cur)
-        if deg[cur] == 1:
-            legs.append(leg)
-    return legs
+    legs = (_chain(t.adj, deg, u, x) for x in sorted(t.adj[u]))
+    return [leg for leg in legs if deg[leg[-1]] == 1]
 
 
 def rebalance_paths(t: Tree, u: int, length_long: int, length_short: int) -> Tree:
@@ -128,6 +125,7 @@ def rebalance_paths(t: Tree, u: int, length_long: int, length_short: int) -> Tre
     if not length_long >= length_short >= 1:
         raise HypothesisError(
             f"leg lengths must satisfy l >= m >= 1, got l={length_long}, m={length_short}")
+    _check_ids(t, u)
     legs = _pendant_legs(t, u)
     long_leg = next((leg for leg in legs if len(leg) == length_long), None)
     short_leg = next(
@@ -143,26 +141,6 @@ def rebalance_paths(t: Tree, u: int, length_long: int, length_short: int) -> Tre
     return t.replace_edges([(anchor, moved)], [(long_leg[-1], moved)])
 
 
-def _path_between(t: Tree, x: int, y: int) -> list[int]:
-    parent = {x: None}
-    queue = deque([x])
-    while queue:
-        a = queue.popleft()
-        if a == y:
-            break
-        for b in t.adj[a]:
-            if b not in parent:
-                parent[b] = a
-                queue.append(b)
-    if y not in parent:
-        raise ValueError(f"no path from {x} to {y}")
-    path = [y]
-    while path[-1] != x:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def move_pendants_to_path_neighbor(t: Tree, x: int, y: int) -> tuple[Tree, Tree]:
     """Concentrate pendant leaves one step along the x-y path.
 
@@ -171,6 +149,7 @@ def move_pendants_to_path_neighbor(t: Tree, x: int, y: int) -> tuple[Tree, Tree]
     When x and y are adjacent those neighbors are y and x themselves.
     Requires at least one pendant leaf at each of x and y.
     """
+    _check_ids(t, x, y)
     if x == y:
         raise HypothesisError("x and y must be distinct")
     deg = t.degrees
@@ -180,25 +159,12 @@ def move_pendants_to_path_neighbor(t: Tree, x: int, y: int) -> tuple[Tree, Tree]
     pend_y = [w for w in t.adj[y] if deg[w] == 1 and w != x]
     if not pend_x or not pend_y:
         raise HypothesisError(f"need pendant leaves at both {x} and {y}")
-    path = _path_between(t, x, y)
+    path = _path(t.adj, x, y)
     x_next = path[1]
     y_next = path[-2]
     t1 = t.replace_edges([(x, w) for w in pend_x], [(x_next, w) for w in pend_x])
     t2 = t.replace_edges([(y, w) for w in pend_y], [(y_next, w) for w in pend_y])
     return t1, t2
-
-
-def _component_size_without(t: Tree, start: int, removed: int) -> int:
-    """Order of the component of t - removed that contains start."""
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a = queue.popleft()
-        for b in t.adj[a]:
-            if b != removed and b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen)
 
 
 def shift_branch_to_end(
@@ -220,6 +186,7 @@ def shift_branch_to_end(
     surgery is performed either way.
     """
     path = list(path)
+    _check_ids(t, *path)
     r = len(path) - 1
     if r < 2:
         raise ValueError("path must have at least three vertices")
@@ -245,8 +212,8 @@ def shift_branch_to_end(
         chosen = list(neighbors)
         if len(chosen) != c or not set(chosen) <= set(off):
             raise ValueError(f"neighbors must pick exactly c={c} off-path neighbors of {vi}")
-    n_0 = _component_size_without(t, path[0], vi)
-    n_r = _component_size_without(t, path[-1], vi)
+    n_0 = len(_side(t.adj, path[0], vi))
+    n_r = len(_side(t.adj, path[-1], vi))
     held = n_r >= n_0 + i
     after = t.replace_edges([(vi, w) for w in chosen], [(path[0], w) for w in chosen])
     return outcome(t, after, hypothesis_held=held)
@@ -254,6 +221,7 @@ def shift_branch_to_end(
 
 def relocate_pendant(t: Tree, leaf: int, frm: int, to: int) -> Tree:
     """Re-attach a pendant leaf from ``frm`` to ``to``."""
+    _check_ids(t, leaf, frm, to)
     if t.degree(leaf) != 1:
         raise HypothesisError(f"vertex {leaf} is not pendent")
     if not t.has_edge(leaf, frm):
@@ -270,20 +238,12 @@ def relocate_branch(t: Tree, root: int, frm: int, to: int) -> Tree:
     hanging subtree) in one step; ``to`` must lie outside the moved
     subtree, otherwise the result would not be a tree.
     """
+    _check_ids(t, root, frm, to)
     if not t.has_edge(root, frm):
         raise ValueError(f"({root}, {frm}) is not an edge of this tree")
     if to == frm:
         raise ValueError("target must be a different vertex")
-    moved = set()
-    queue = deque([root])
-    moved.add(root)
-    while queue:
-        a = queue.popleft()
-        for b in t.adj[a]:
-            if b != frm and b not in moved:
-                moved.add(b)
-                queue.append(b)
-    if to in moved:
+    if to in _side(t.adj, root, frm):
         raise ValueError(f"target {to} lies inside the moved subtree")
     return t.replace_edges([(frm, root)], [(to, root)])
 
@@ -295,6 +255,7 @@ def attach_two_paths(t: Tree, u: int, length_a: int, length_b: int) -> Tree:
     the second, matching the deterministic labeling used by the family
     constructors.  A zero length attaches nothing.
     """
+    _check_ids(t, u)
     if length_a < 0 or length_b < 0:
         raise ValueError("path lengths must be >= 0")
     edges = list(t.edges)

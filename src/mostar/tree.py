@@ -22,6 +22,13 @@ This module provides:
 * :func:`canonical_form` / :func:`is_isomorphic` - AHU-style canonical
   codes rooted at the tree center(s).
 
+Every small-tree walk goes through one of a few private helpers next
+to ``_bfs``: ``_path`` (the path between two vertices), ``_side`` (the
+vertices on one side of a vertex), ``_chain`` (a run of degree-2
+vertices) and ``_diametral_path`` (a longest path, which gives both the
+diameter and the centers).  ``transforms`` and ``verify`` use them too.
+Only the oracle :func:`mostar_bfs` keeps its own distance search.
+
 Everything here is a pure function on immutable data; concurrent
 readers need no coordination.
 """
@@ -318,6 +325,57 @@ def _bfs(adj, root: int = 0) -> tuple[list[int], list[int]]:
     return parent, order
 
 
+def _climb(parent: list[int], v: int) -> list[int]:
+    """``v`` and its ancestors under ``parent``, up to the search root."""
+    path = [v]
+    while parent[v] >= 0:
+        v = parent[v]
+        path.append(v)
+    return path
+
+
+def _path(adj, x: int, y: int) -> list[int]:
+    """Vertices of the x-y path, x first and y last."""
+    return _climb(_bfs(adj, y)[0], x)
+
+
+def _side(adj, x: int, blocked: int) -> list[int]:
+    """Vertices reachable from ``x`` without entering ``blocked``.
+
+    For a neighbor ``blocked`` of ``x`` this is the x-side of that edge;
+    in general it is the component of the tree minus ``blocked`` that
+    holds ``x``.
+    """
+    seen = {x, blocked}
+    order = [x]
+    for a in order:
+        for b in adj[a]:
+            if b not in seen:
+                seen.add(b)
+                order.append(b)
+    return order
+
+
+def _chain(adj, deg, prev: int, cur: int) -> list[int]:
+    """Walk from ``cur`` (entered from ``prev``) through degree-2 vertices.
+
+    The walk ends at, and includes, the first vertex of another degree.
+    """
+    walk = [cur]
+    while deg[cur] == 2:
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+        walk.append(cur)
+    return walk
+
+
+def _diametral_path(adj) -> list[int]:
+    """A longest path.  A search from 0 ends at an end of some longest
+    path, and a search from that end ends at the other one."""
+    parent, order = _bfs(adj, _bfs(adj)[1][-1])
+    return _climb(parent, order[-1])
+
+
 def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
     """Mostar index and per-edge splits.
 
@@ -369,6 +427,7 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
 
 
 def _bfs_distances(adj, start: int) -> list[int]:
+    """Distance from ``start`` to every vertex; used only by the oracle."""
     dist = [-1] * len(adj)
     dist[start] = 0
     queue = deque([start])
@@ -416,17 +475,7 @@ def psi_edge(t: Tree, edge: tuple[int, int]) -> EdgeSplit:
     key = (u, v) if u < v else (v, u)
     if key not in t.edge_set():
         raise ValueError(f"({u}, {v}) is not an edge of this tree")
-    # Size of the u-side component of t minus the edge.
-    adj = t.adj
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if (x, y) != (u, v) and (y, x) != (u, v) and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    n_u = len(seen)
+    n_u = len(_side(t.adj, u, v))
     return EdgeSplit((u, v), n_u, t.n - n_u, abs(t.n - 2 * n_u))
 
 
@@ -477,14 +526,8 @@ def _pendant_runs(t: Tree) -> list[int]:
     for leaf in range(t.n):
         if deg[leaf] != 1:
             continue
-        prev = leaf
-        cur = adj[leaf][0]
-        steps = 1
-        while deg[cur] == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            steps += 1
-        runs.append(steps if deg[cur] >= 3 else steps - 1)
+        walk = _chain(adj, deg, leaf, adj[leaf][0])
+        runs.append(len(walk) if deg[walk[-1]] >= 3 else len(walk) - 1)
     return runs
 
 
@@ -521,13 +564,6 @@ def stats(t: Tree) -> TreeStats:
             is_caterpillar = False
             break
 
-    # Diameter by double BFS: valid on trees.
-    adj = t.adj
-    d0 = _bfs_distances(adj, 0)
-    a = max(range(n), key=d0.__getitem__)
-    da = _bfs_distances(adj, a)
-    diameter = max(da)
-
     return TreeStats(
         degree_sequence=degree_sequence,
         odd_count=odd_count,
@@ -538,7 +574,7 @@ def stats(t: Tree) -> TreeStats:
         maximal_run_census=MappingProxyType(maximal),
         is_series_reduced=(deg2_count == 0),
         is_caterpillar=is_caterpillar,
-        diameter=diameter,
+        diameter=len(_diametral_path(t.adj)) - 1,
     )
 
 
@@ -546,28 +582,9 @@ def stats(t: Tree) -> TreeStats:
 
 
 def _centers(t: Tree) -> list[int]:
-    """The one or two middle vertices, found by pruning leaf layers."""
-    n = t.n
-    if n == 1:
-        return [0]
-    if n == 2:
-        return [0, 1]
-    deg = list(t.degrees)
-    adj = t.adj
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in adj[v]:
-                if deg[w] > 1:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
+    """The one or two middle vertices of a longest path."""
+    path = _diametral_path(t.adj)
+    return sorted(path[(len(path) - 1) // 2: len(path) // 2 + 1])
 
 
 def _rooted_code(t: Tree, root: int) -> str:

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional
 
 from .enumeration import ConstraintSpec, _check_cap, all_trees
 from .families import FamilySpec, ParameterError, build, claimed_extremal
-from .tree import Tree, canonical_form, mostar_fast, stats
+from .tree import Tree, _path, canonical_form, mostar_fast, stats
 
 __all__ = [
     "TheoremClaim",
@@ -345,13 +345,7 @@ def _spine_degree_path(t: Tree) -> Optional[list[int]]:
     if any(len(ws) > 2 for ws in inner_neighbors.values()):
         return None
     ends = sorted(v for v in internal if len(inner_neighbors[v]) == 1)
-    walk = [ends[0]]
-    prev = -1
-    while len(walk) < len(internal):
-        nxt = next(w for w in inner_neighbors[walk[-1]] if w != prev)
-        prev = walk[-1]
-        walk.append(nxt)
-    return [deg[v] for v in walk]
+    return [deg[v] for v in _path(t.adj, ends[0], ends[1])]
 
 
 def _is_valley(seq: list[int]) -> bool:

@@ -90,14 +90,14 @@ def test_criterion_2_closed_forms():
 
 
 def _diametral_paths(t):
-    from mostar.transforms import _path_between
+    from mostar.tree import _path
 
     d = stats(t).diameter
     return [
-        _path_between(t, a, b)
+        _path(t.adj, a, b)
         for a in range(t.n)
         for b in range(t.n)
-        if a != b and len(_path_between(t, a, b)) - 1 == d
+        if a != b and len(_path(t.adj, a, b)) - 1 == d
     ]
 
 

@@ -221,6 +221,24 @@ class TestTransformCommand:
         assert "Mo before = 80" in out and "Mo after  = 76" in out
 
 
+    @pytest.mark.parametrize("vertex", ["99", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["contract", "--edge=0,{v}"],
+        ["rebalance", "--at={v}", "--long=1", "--short=1"],
+        ["move-pendants", "--x=0", "--y={v}"],
+        ["shift", "--path=0,1,{v}", "--i=1"],
+        ["relocate", "--leaf={v}", "--from=2", "--to=0"],
+    ], ids=lambda argv: argv[0])
+    def test_out_of_range_vertex_exits_2(self, capsys, tmp_path, argv, vertex):
+        f = tmp_path / "p5.txt"
+        write_edge_list(build(FamilySpec.path(5)), f)
+        name, *opts = argv
+        code, _, err = run(capsys, "transform", name, str(f),
+                           *(o.format(v=vertex) for o in opts))
+        assert code == 2
+        assert err.startswith("error:") and "outside 0..4" in err
+
+
 class TestVerifyCommand:
     def test_single_claim_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "--claim", "T3.1",

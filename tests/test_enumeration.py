@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -162,6 +163,20 @@ class TestTreesSatisfying:
             list(trees_satisfying(6, ConstraintSpec.odd_count(3)))
         with pytest.raises(ValueError):
             list(trees_satisfying(6, ConstraintSpec.deg2_count(-1)))
+
+    def test_unfiltered_stream_computes_no_stats(self):
+        def refuse(t):
+            raise AssertionError("stats called on an unfiltered stream")
+
+        with mock.patch.object(mostar.enumeration, "stats", refuse):
+            for n in range(1, 9):
+                streamed = trees_satisfying(n, ConstraintSpec.unconstrained())
+                assert [t.edges for t in streamed] == [t.edges for t in all_trees(n)]
+
+    def test_filtered_stream_computes_stats(self):
+        with mock.patch.object(mostar.enumeration, "stats", wraps=stats) as spy:
+            kept = list(trees_satisfying(6, ConstraintSpec.deg2_count(0)))
+        assert kept and spy.call_count == FREE_TREE_COUNTS[5]
 
 
 class TestRandomTree:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mostar.tree as tree_mod
-from mostar import Tree, mostar_fast, parse_edge_list, to_edge_list_text
+from mostar import (
+    Tree,
+    canonical_form,
+    mostar_fast,
+    parse_edge_list,
+    psi_edge,
+    stats,
+    to_edge_list_text,
+)
 from mostar.enumeration import prufer_to_edges
 
 SMALL_N = tree_mod._SMALL_N
@@ -44,3 +52,29 @@ def test_text_round_trip_and_regimes_agree(case):
     other_total, other_splits = mostar_fast(other)
     assert total == other_total == sum(s.psi for s in splits)
     assert list(splits) == list(other_splits)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(relabeled_trees().filter(lambda case: case[0] <= 60), st.randoms(use_true_random=False))
+def test_walks_match_distance_definitions(case, rnd):
+    """The walks behind stats, centers, psi_edge and paths agree with
+    all-pairs distances from the oracle's own search."""
+    n, edges = case
+    t = Tree(n, edges)
+    dist = [tree_mod._bfs_distances(t.adj, v) for v in range(n)]
+    ecc = [max(row) for row in dist]
+    assert stats(t).diameter == max(ecc)
+    assert tree_mod._centers(t) == [v for v in range(n) if ecc[v] == min(ecc)]
+    for u, v in t.edges:
+        for a, b in ((u, v), (v, u)):
+            closer = sum(1 for w in range(n) if dist[a][w] < dist[b][w])
+            assert psi_edge(t, (a, b)).n_u == closer
+    a = rnd.randrange(n)
+    for b in range(n):
+        path = tree_mod._path(t.adj, a, b)
+        assert path[0] == a and path[-1] == b and len(path) - 1 == dist[a][b]
+        assert all(t.has_edge(x, y) for x, y in zip(path, path[1:]))
+    label = list(range(n))
+    rnd.shuffle(label)
+    relabeled = Tree(n, [(label[x], label[y]) for x, y in t.edges])
+    assert canonical_form(relabeled) == canonical_form(t)

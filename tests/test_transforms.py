@@ -44,13 +44,13 @@ def non_pendent_edges(t):
 def diametral_paths(t):
     """Every path realizing the diameter, one per ordered endpoint pair."""
     st = stats(t)
-    from mostar.transforms import _path_between
+    from mostar.tree import _path
 
     paths = []
     for a in range(t.n):
         for b in range(t.n):
             if a != b:
-                p = _path_between(t, a, b)
+                p = _path(t.adj, a, b)
                 if len(p) - 1 == st.diameter:
                     paths.append(p)
     return paths
@@ -235,6 +235,25 @@ class TestRelocate:
     def test_vertex_count_preserved(self):
         t = build(FamilySpec.c(12, 3, 1))
         assert relocate_pendant(t, 10, 3, 5).n == 12
+
+
+OUT_OF_RANGE_CALLS = {
+    "contract_with_pendant": lambda t, v: contract_with_pendant(t, (0, v)),
+    "rebalance_paths": lambda t, v: rebalance_paths(t, v, 1, 1),
+    "move_pendants_to_path_neighbor": lambda t, v: move_pendants_to_path_neighbor(t, 0, v),
+    "shift_branch_to_end": lambda t, v: shift_branch_to_end(t, [0, 1, v], 1, 1),
+    "relocate_pendant": lambda t, v: relocate_pendant(t, v, 1, 0),
+    "relocate_branch": lambda t, v: relocate_branch(t, 4, 3, v),
+    "attach_two_paths": lambda t, v: attach_two_paths(t, v, 0, 0),
+}
+
+
+@pytest.mark.parametrize("vertex", [5, -1])
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_CALLS))
+def test_out_of_range_vertex_rejected(name, vertex):
+    t = build(FamilySpec.path(5))
+    with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+        OUT_OF_RANGE_CALLS[name](t, vertex)
 
 
 class TestOutcome:
