@@ -73,33 +73,33 @@ def _write_output(text: str, out: Optional[str]) -> None:
 
 
 _ROW = "  (%d, %d)  n_u=%d  n_v=%d  psi=%d\n"
+# One split as json.dumps(..., indent=2) writes it inside the "splits" list.
+_JSON_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
+             '      "n_u": %d,\n      "n_v": %d,\n      "psi": %d\n    }')
 _TABLE_BLOCK = 8192
 
 
-def _write_table(fh, n: int, splits) -> None:
+def _write_table(fh, n: int, splits, row: str = _ROW, sep: str = "") -> None:
     """One row per split, formatted from int64 columns a block at a time."""
     edges, n_u = splits._columns()
     for lo in range(0, len(n_u), _TABLE_BLOCK):
         s = n_u[lo:lo + _TABLE_BLOCK]
         block = np.column_stack((edges[lo:lo + _TABLE_BLOCK], s, n - s, np.abs(n - 2 * s)))
-        fh.write((_ROW * len(s)) % tuple(block.ravel().tolist()))
+        fh.write((sep if lo else "") + sep.join([row] * len(s)) % tuple(block.ravel().tolist()))
 
 
 def _cmd_compute(args) -> int:
     t = tio.read_edge_list(args.file)
     total, splits = (mostar_bfs if args.oracle else mostar_fast)(t)
-    if args.format == "json":
-        obj = {
-            "n": t.n,
-            "mostar": total,
-            "splits": [
-                {"edge": list(s.edge), "n_u": s.n_u, "n_v": s.n_v, "psi": s.psi}
-                for s in splits
-            ],
-        }
-        _write_output(json.dumps(obj, indent=2) + "\n", args.out)
-    else:
-        with _output(args.out) as fh:
+    with _output(args.out) as fh:
+        if args.format == "json":  # the bytes of json.dumps(obj, indent=2), row block by block
+            fh.write('{\n  "n": %d,\n  "mostar": %d,\n  "splits": [' % (t.n, total))
+            if len(splits):
+                fh.write("\n")
+                _write_table(fh, t.n, splits, _JSON_ROW, ",\n")
+                fh.write("\n  ")
+            fh.write("]\n}\n")
+        else:
             fh.write(f"Mo = {total}\n")
             if not args.total_only:
                 _write_table(fh, t.n, splits)
@@ -156,20 +156,14 @@ def _cmd_enumerate(args) -> int:
         stop = None if args.limit is None else args.offset + args.limit
         stream = itertools.islice(stream, args.offset, stop)
 
-    def emit(fh) -> int:
+    with _output(args.out) as fh:
         if args.format == "edgelist":
             count = 0
             for t in stream:
                 fh.write(tio.to_edge_list_text(t))
                 count += 1
-            return count
-        return tio.write_ndjson(stream, fh)
-
-    if args.out is None or args.out == "-":
-        count = emit(sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            count = emit(fh)
+        else:
+            count = tio.write_ndjson(stream, fh)
     print(f"{count} trees", file=sys.stderr)
     return 0
 

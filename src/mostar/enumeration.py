@@ -14,11 +14,15 @@ for the 100+ million classes that appear in the mid-20s.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .tree import Tree, TreeStats, stats
+import numpy as np
+
+from .tree import Tree, TreeStats, stats  # noqa: F401  stats stays patchable here
 
 __all__ = [
     "DEFAULT_CAP",
@@ -116,6 +120,10 @@ class ConstraintSpec:
             raise ValueError("degree_sequence constraint needs a nonempty sequence")
 
     def matches(self, st: TreeStats) -> bool:
+        return bool(self._where(st))
+
+    def _where(self, st):
+        """The class test on one tree's TreeStats, or a row mask on a table."""
         kind = self.kind
         if kind == "unconstrained":
             return True
@@ -126,9 +134,9 @@ class ConstraintSpec:
         if kind == "branch_count":
             return st.branch_count == self.value
         if kind == "series_reduced":
-            return st.is_series_reduced
-        if kind == "all_odd":
-            return st.odd_count == len(st.degree_sequence)
+            return st.deg2_count == 0
+        if kind == "all_odd":  # every vertex is a leaf, a degree-2 or a branch vertex
+            return st.odd_count == st.leaf_count + st.deg2_count + st.branch_count
         if kind == "pendent_path_count":
             count = st.maximal_runs(self.r) if self.maximal else st.pendent_paths(self.r)
             return count == self.value
@@ -156,6 +164,8 @@ class ConstraintSpec:
 
 
 def _check_cap(n: int, cap: Optional[int]) -> None:
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
     effective = DEFAULT_CAP if cap is None else cap
     if n > effective:
         raise EnumerationCapError(
@@ -184,8 +194,8 @@ def _first_subtree_end(seq: list[int]) -> int:
         return len(seq)
 
 
-def _free_trees(n: int) -> Iterator[Tree]:
-    """Every free tree of order n >= 2 once, by the Wright-Richmond-
+def _level_sequences(n: int) -> Iterator[list[int]]:
+    """Every free tree of order n >= 1 once, by the Wright-Richmond-
     Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986).
 
     A tree is walked as a level sequence, the depth of each vertex in
@@ -194,28 +204,22 @@ def _free_trees(n: int) -> Iterator[Tree]:
     its free tree unless the root's first subtree L is higher than the
     rest R, or as high and larger, or as high, as large and
     lexicographically later; such a sequence is replaced by a jump to
-    the next one that is kept.  Vertex ``i`` is position ``i`` of the
-    sequence, and the edges are listed by child.
+    the next one that is kept.  The same list is yielded every time and
+    stepped in place afterwards.
     """
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path, rooted at a center
-    last = [0] * n  # last[d]: the latest vertex at depth d, the parent of depth d + 1
     while True:
         m = _first_subtree_end(seq)
         left = [d - 1 for d in seq[1:m]]
         rest = [0] + seq[m:]
-        hl, hr = max(left), max(rest)
+        hl, hr = max(left, default=0), max(rest)  # K1 has no first subtree
         if hr < hl or hr == hl and (len(left) > len(rest) or len(left) == len(rest) and left > rest):
             deep = seq[m - 1] > 2
             _next_rooted(seq, m - 1)
             if deep:
                 h = max(seq[1:_first_subtree_end(seq)])
                 seq[n - h:] = range(1, h + 1)
-        edges = []
-        for i in range(1, n):
-            d = seq[i]
-            edges.append((last[d - 1], i))
-            last[d] = i
-        yield Tree(n, edges)
+        yield seq
         p = n - 1
         while seq[p] == 1:
             p -= 1
@@ -229,26 +233,117 @@ def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
 
     Classes are emitted in the level-sequence order of the Wright-
     Richmond-Odlyzko-McKay generator; counts match the free-tree
-    sequence 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, ...
+    sequence 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, ...  Vertex ``i`` is
+    position ``i`` of the sequence, and the edges are listed by child.
     """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
     _check_cap(n, cap)
-    if n == 1:
-        yield Tree(1, [])
-        return
-    yield from _free_trees(n)
+    last = [0] * n  # last[d]: the latest vertex at depth d, the parent of depth d + 1
+    for seq in _level_sequences(n):
+        edges = []
+        for i in range(1, n):
+            d = seq[i]
+            edges.append((last[d - 1], i))
+            last[d] = i
+        yield Tree(n, edges)
+
+
+# Classes per search table when a filtered stream works through an order.
+_BATCH = 1024
+
+
+def _batches(n: int) -> Iterator[np.ndarray]:
+    """The level sequences of order n as (rows, n) uint8 matrices of up to ``_BATCH`` rows."""
+    sequences = _level_sequences(n)
+    while block := bytes(itertools.chain.from_iterable(itertools.islice(sequences, _BATCH))):
+        yield np.frombuffer(block, np.uint8).reshape(-1, n)
+
+
+class _DegreeGroups:
+    """Sorted degree sequences ``keys`` and each row's index ``ids``."""
+
+    def __init__(self, degrees: np.ndarray):
+        keys, ids = np.unique(-np.sort(-degrees, axis=1), axis=0, return_inverse=True)
+        self.keys, self.ids = [tuple(k) for k in keys.tolist()], ids.reshape(-1).astype(np.int16)
+
+    def __eq__(self, seq):
+        return self.ids == (self.keys.index(seq) if seq in self.keys else -1)
+
+
+class _Table:
+    """Search columns of a (rows, n) matrix of level sequences, one row
+    per class, in int8 or int16: ``parent`` (-1 at the root), ``degrees``,
+    ``mo`` and ``runs`` (each leaf's pendant run, else 0).  Counts and
+    methods carry TreeStats' names, so ``ConstraintSpec._where`` reads
+    a table as it reads one tree.  Each loop steps over the positions,
+    all rows at once."""
+
+    def __init__(self, depth: np.ndarray):
+        rows, n = depth.shape
+        base = np.arange(rows) * n
+
+        def at(m, cols):  # m[r, cols[r]] for every row r
+            return m.reshape(-1)[base + cols]
+
+        parent = np.full((rows, n), -1, np.int8)
+        latest = np.zeros((rows, n), np.int8)  # latest[r, d]: the last vertex at depth d, a parent
+        degrees = np.ones((rows, n), np.int8)
+        degrees[:, 0] = 0
+        for i in range(1, n):
+            d = depth[:, i].astype(np.intp)
+            parent[:, i] = at(latest, d - 1)
+            latest.reshape(-1)[base + d] = i
+            degrees.reshape(-1)[base + parent[:, i]] += 1
+        size = np.ones((rows, n), np.int16)
+        for i in range(n - 1, 0, -1):
+            size.reshape(-1)[base + parent[:, i]] += size[:, i]
+        inner = degrees < 3  # off the branch vertices the tree falls into paths
+        head = np.zeros((rows, n), np.int8)  # head[r, v]: the first vertex of v's path
+        count = inner.astype(np.int8)  # count[r, v]: the order of the path that v heads
+        for i in range(1, n):
+            joined = inner[:, i] & at(inner, parent[:, i])
+            head[:, i] = np.where(joined, at(head, parent[:, i]), i)
+            count.reshape(-1)[base + head[:, i]] += joined
+        # a leaf's run is the order of its path, or n - 2 if that path is the tree
+        runs = np.minimum(np.take_along_axis(count, head.astype(np.intp), axis=1), n - 2)
+        runs[degrees != 1] = 0
+        self.n, self.parent, self.degrees, self.runs = n, parent, degrees, runs.astype(np.int8)
+        self.mo = np.abs(n - 2 * size[:, 1:]).sum(axis=1, dtype=np.int16)
+        self.odd_count, self.deg2_count, self.branch_count, self.leaf_count = (
+            np.count_nonzero(test, axis=1).astype(np.int8)
+            for test in (degrees % 2 == 1, degrees == 2, degrees >= 3, degrees == 1))
+
+    @cached_property
+    def degree_sequence(self) -> _DegreeGroups:
+        return _DegreeGroups(self.degrees)
+
+    def pendent_paths(self, r: int) -> np.ndarray:
+        return np.count_nonzero(self.runs >= r, axis=1)
+
+    def maximal_runs(self, r: int) -> np.ndarray:
+        return np.count_nonzero(self.runs == r, axis=1)
+
+    def select(self, constraint: ConstraintSpec) -> np.ndarray:
+        """Rows in the constraint's class; K1 is only in the unconstrained one."""
+        keep = constraint._where(self) if self.n > 1 else constraint.kind == "unconstrained"
+        return np.flatnonzero(np.broadcast_to(keep, self.mo.shape))
+
+    def tree(self, row: int) -> Tree:
+        """The class in ``row``, labelled as :func:`all_trees` labels it."""
+        return Tree(self.n, list(zip(self.parent[row, 1:].tolist(), range(1, self.n))))
 
 
 def trees_satisfying(n: int, constraint: ConstraintSpec, cap: Optional[int] = None) -> Iterator[Tree]:
-    """Filter ``all_trees(n)`` by a tree-class constraint."""
+    """Filter ``all_trees(n)`` by a tree-class constraint, masking a table
+    per batch of level sequences and building only the trees emitted."""
     constraint.validate()
     if constraint.kind == "unconstrained":
         yield from all_trees(n, cap=cap)
         return
-    for t in all_trees(n, cap=cap):
-        if t.n >= 2 and constraint.matches(stats(t)):
-            yield t
+    _check_cap(n, cap)
+    for depth in _batches(n):
+        table = _Table(depth)
+        for row in table.select(constraint).tolist():
+            yield table.tree(row)
 
 
 def prufer_to_edges(seq: Sequence[int]) -> list[tuple[int, int]]:

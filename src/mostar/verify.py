@@ -29,8 +29,8 @@ LDL-min-degseq
         caterpillar whose spine degrees decrease then increase
 ======  ==========================================================
 
-Searches share one cached table of (tree, index, stats) records per
-order, so checking many claims at the same order costs one enumeration.
+Searches share one cached table of columns per order, read off the
+level sequences, and build a tree only for each optimizer.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
-from .enumeration import ConstraintSpec, _check_cap, all_trees
+import numpy as np
+
+from .enumeration import ConstraintSpec, _batches, _check_cap, _Table
 from .families import FamilySpec, ParameterError, build, claimed_extremal
 from .tree import Tree, _path, canonical_form, mostar_fast, stats
 
@@ -97,40 +99,21 @@ class VerificationReport:
         return bool(self.claimed_is_argopt)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "params": dict(self.params),
-            "direction": self.direction,
-            "brute_value": self.brute_value,
-            "claimed_value": self.claimed_value,
-            "value_match": self.value_match,
-            "claimed_is_argopt": self.claimed_is_argopt,
-            "argopt_unique": self.argopt_unique,
-            "argopt_count": self.argopt_count,
-            "claimed_family": self.claimed_family,
-            "empty_class": self.empty_class,
-            "invalid": self.invalid,
-            "millis": round(self.millis, 3),
-        }
-
-
-class _Record:
-    __slots__ = ("tree", "mo", "st")
-
-    def __init__(self, tree, mo, st):
-        self.tree = tree
-        self.mo = mo
-        self.st = st
+        out = {k: v for k, v in vars(self).items()
+               if k not in ("claim_id", "claimed_in_class", "argopt_canonical_forms")}
+        out.update(params=dict(self.params), millis=round(self.millis, 3))
+        return out
 
 
 @lru_cache(maxsize=16)
-def _records(n: int) -> tuple:
-    """Every class of order n with its index and stats; callers check the cap."""
-    out = []
-    for t in all_trees(n, cap=n):
-        st = stats(t) if t.n >= 2 else None
-        out.append(_Record(t, mostar_fast(t)[0], st))
-    return tuple(out)
+def _records(n: int):
+    """The search table of every class of order n; callers check the cap."""
+    return _Table(np.concatenate(list(_batches(n))))
+
+
+def _table(n: int, cap: Optional[int]):
+    _check_cap(n, cap)
+    return _records(n)
 
 
 def extremal_search(
@@ -142,28 +125,19 @@ def extremal_search(
     """Exact optimum of the Mostar index over a constrained tree class.
 
     Returns ``(value, optimizers)`` with every optimizer (one per
-    isomorphism class).  An empty class yields ``(None, [])``, which is
-    a legitimate result rather than an error.
+    isomorphism class, in generator order).  An empty class yields
+    ``(None, [])``, which is a legitimate result rather than an error.
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     constraint.validate()
-    _check_cap(n, cap)
-    best: Optional[int] = None
-    argopt: list[Tree] = []
-    want_max = direction == "max"
-    for rec in _records(n):
-        if rec.st is None:
-            if constraint.kind != "unconstrained":
-                continue
-        elif not constraint.matches(rec.st):
-            continue
-        if best is None or (rec.mo > best if want_max else rec.mo < best):
-            best = rec.mo
-            argopt = [rec.tree]
-        elif rec.mo == best:
-            argopt.append(rec.tree)
-    return best, argopt
+    table = _table(n, cap)
+    rows = table.select(constraint)
+    if not len(rows):
+        return None, []
+    mo = table.mo[rows]
+    best = mo.max() if direction == "max" else mo.min()
+    return int(best), [table.tree(row) for row in rows[mo == best].tolist()]
 
 
 def _verify_instance(
@@ -175,6 +149,7 @@ def _verify_instance(
     family: Optional[FamilySpec],
     cap: Optional[int],
 ) -> VerificationReport:
+    _table(n, cap)  # the order's shared table is filled outside the instance's time
     t0 = time.perf_counter()
     claimed_tree = None
     invalid = None
@@ -350,17 +325,9 @@ def _spine_degree_path(t: Tree) -> Optional[list[int]]:
 
 def _is_valley(seq: list[int]) -> bool:
     """True when the sequence is non-increasing then non-decreasing."""
-    z = len(seq)
-    if z <= 2:
-        return True
-    for s in range(1, z):
-        prefix = seq[:s]
-        suffix = seq[s:]
-        if all(prefix[i] >= prefix[i + 1] for i in range(len(prefix) - 1)) and all(
-            suffix[i] <= suffix[i + 1] for i in range(len(suffix) - 1)
-        ):
-            return True
-    return False
+    steps = [b - a for a, b in zip(seq, seq[1:])]
+    first_rise = next((i for i, step in enumerate(steps) if step > 0), len(steps))
+    return all(step >= 0 for step in steps[first_rise:])
 
 
 @dataclass(frozen=True)
@@ -387,27 +354,20 @@ def check_degree_sequence_structure(n: int, cap: Optional[int] = None) -> Degree
     """
     if n < 2:
         return DegreeSequenceStructureReport(n=n, sequences_checked=0, violations=())
-    _check_cap(n, cap)
-    groups: dict[tuple[int, ...], list[_Record]] = {}
-    for rec in _records(n):
-        groups.setdefault(rec.st.degree_sequence, []).append(rec)
+    sequences = _table(n, cap).degree_sequence.keys
     violations = []
-    for seq, recs in groups.items():
-        best = min(r.mo for r in recs)
-        minimizers = [r.tree for r in recs if r.mo == best]
-        found = False
-        for t in minimizers:
-            spine = _spine_degree_path(t)
-            if spine is not None and _is_valley(spine):
-                found = True
-                break
-        if not found:
+    for seq in sequences:
+        _, minimizers = extremal_search(n, ConstraintSpec.degree_sequence(seq), "min", cap=cap)
+        if not any(spine is not None and _is_valley(spine)
+                   for spine in map(_spine_degree_path, minimizers)):
             violations.append(seq)
     return DegreeSequenceStructureReport(
-        n=n, sequences_checked=len(groups), violations=tuple(sorted(violations)))
+        n=n, sequences_checked=len(sequences), violations=tuple(sorted(violations)))
 
 
 def _check_degseq_claim(claim_id: str, n: int, cap: Optional[int]) -> list[VerificationReport]:
+    if n >= 2:
+        _table(n, cap)  # filled outside the check's time, as for every instance
     t0 = time.perf_counter()
     summary = check_degree_sequence_structure(n, cap=cap)
     millis = (time.perf_counter() - t0) * 1000.0

@@ -100,6 +100,23 @@ class TestCompute:
                        for s in splits],
         }
 
+    @pytest.mark.parametrize("t", [Tree(1, []), Tree(2, [(1, 0)]), build(FamilySpec.c(7, 1, 1)),
+                                   random_tree(9000, 4)], ids=["n1", "n2", "n7", "random9000"])
+    def test_json_and_table_bytes_past_one_block(self, capsys, tmp_path, t):
+        import mostar.cli as cli_mod
+
+        assert t.n <= 7 or t.n - 1 > cli_mod._TABLE_BLOCK  # the large tree spans two blocks
+        f = tmp_path / "t.txt"
+        write_edge_list(t, f)
+        total, splits = mostar_fast(t)
+        obj = {"n": t.n, "mostar": total,
+               "splits": [{"edge": list(s.edge), "n_u": s.n_u, "n_v": s.n_v, "psi": s.psi}
+                          for s in splits]}
+        code, out, _ = run(capsys, "compute", str(f), "--format", "json")
+        assert code == 0 and out == json.dumps(obj, indent=2) + "\n"
+        code, out, _ = run(capsys, "compute", str(f))
+        assert code == 0 and out == self.per_row_table(t)
+
     @pytest.mark.parametrize("n", [3, 3000])
     def test_overflowing_id_exits_2(self, capsys, tmp_path, n):
         f = tmp_path / "big.txt"

@@ -4,14 +4,19 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mostar
+import mostar.tree as tree_mod
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
@@ -19,11 +24,14 @@ from mostar import (
     all_trees,
     canonical_form,
     is_isomorphic,
+    mostar_fast,
     prufer_to_edges,
     random_tree,
     stats,
     trees_satisfying,
 )
+from mostar.enumeration import _Table
+from mostar.verify import _records
 
 # Classes of unlabeled trees per order (frozen after the dedup cross-check).
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -158,6 +166,17 @@ class TestTreesSatisfying:
         p6 = canonical_form(Tree(6, [(i, i + 1) for i in range(5)]))
         assert p6 in in_census and p6 not in in_maximal
 
+    def test_class_tests_follow_the_definitions(self):
+        for n in range(2, 11):
+            for t in all_trees(n):
+                deg, want = t.degrees, stats(t)
+                assert ConstraintSpec.all_odd().matches(want) == all(d % 2 for d in deg)
+                assert ConstraintSpec.series_reduced().matches(want) == (2 not in deg)
+                assert ConstraintSpec.deg2_count(deg.count(2)).matches(want)
+                assert ConstraintSpec.branch_count(sum(d >= 3 for d in deg)).matches(want)
+                assert ConstraintSpec.odd_count(sum(d % 2 for d in deg)).matches(want)
+                assert ConstraintSpec.degree_sequence(deg).matches(want)
+
     def test_invalid_constraint_rejected(self):
         with pytest.raises(ValueError):
             list(trees_satisfying(6, ConstraintSpec.odd_count(3)))
@@ -173,10 +192,82 @@ class TestTreesSatisfying:
                 streamed = trees_satisfying(n, ConstraintSpec.unconstrained())
                 assert [t.edges for t in streamed] == [t.edges for t in all_trees(n)]
 
-    def test_filtered_stream_computes_stats(self):
-        with mock.patch.object(mostar.enumeration, "stats", wraps=stats) as spy:
-            kept = list(trees_satisfying(6, ConstraintSpec.deg2_count(0)))
-        assert kept and spy.call_count == FREE_TREE_COUNTS[5]
+    def test_filtered_stream_builds_only_the_trees_it_emits(self):
+        refuse = mock.Mock(side_effect=AssertionError("stats called on a filtered stream"))
+        with mock.patch.object(mostar.enumeration, "stats", refuse), \
+                mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
+            kept = list(trees_satisfying(10, ConstraintSpec.deg2_count(2)))
+        assert kept and built.call_count == len(kept)
+
+    @pytest.mark.parametrize("constraint", [
+        ConstraintSpec.odd_count(4), ConstraintSpec.deg2_count(0), ConstraintSpec.branch_count(2),
+        ConstraintSpec.series_reduced(), ConstraintSpec.all_odd(),
+        ConstraintSpec.pendent_path_count(2, 2), ConstraintSpec.pendent_path_count(2, 2, maximal=True),
+        ConstraintSpec.pendent_path_count(3, 1), ConstraintSpec.degree_sequence([3, 3, 2, 1, 1, 1, 1]),
+    ], ids=lambda c: c.describe())
+    def test_filtered_stream_equals_the_per_tree_filter(self, constraint):
+        for n in range(1, 12):
+            hand = [t.edges for t in all_trees(n) if n > 1 and constraint.matches(stats(t))]
+            assert [t.edges for t in trees_satisfying(n, constraint)] == hand, n
+            with mock.patch.object(mostar.enumeration, "_BATCH", 7):  # many short batches
+                assert [t.edges for t in trees_satisfying(n, constraint)] == hand, n
+
+    def test_filtered_stream_spans_batches(self):
+        constraint = ConstraintSpec.odd_count(6)
+        hand = [t.edges for t in all_trees(13) if constraint.matches(stats(t))]
+        streamed = [t.edges for t in trees_satisfying(13, constraint)]
+        assert FREE_TREE_COUNTS[12] > mostar.enumeration._BATCH and streamed == hand
+
+
+def assert_rows_are(table, pairs, same_labels=True):
+    """Each (row, tree) pair: the table row holds the index and stats of the tree."""
+    n = table.n
+    census = {r: (table.pendent_paths(r), table.maximal_runs(r)) for r in range(1, n)}
+    for row, t in pairs:
+        assert table.mo[row] == mostar_fast(t)[0]
+        if same_labels:
+            assert table.tree(row).edges == t.edges
+        else:
+            assert canonical_form(table.tree(row)) == canonical_form(t)
+        if n < 2:
+            continue
+        want = stats(t)
+        assert (table.odd_count[row], table.deg2_count[row], table.branch_count[row],
+                table.leaf_count[row]) == (want.odd_count, want.deg2_count, want.branch_count,
+                                           want.leaf_count)
+        groups = table.degree_sequence
+        assert groups.keys[groups.ids[row]] == want.degree_sequence
+        runs = [int(table.runs[row, v]) for v in range(n) if table.degrees[row, v] == 1]
+        assert runs == tree_mod._pendant_runs(table.tree(row))
+        assert sorted(runs) == sorted(tree_mod._pendant_runs(t))
+        for r, (paths, maximal) in census.items():
+            assert (paths[row], maximal[row]) == (want.pendent_paths(r), want.maximal_runs(r))
+
+
+class TestSearchTable:
+    def test_every_class_to_14(self):
+        for n in range(1, 15):
+            table = _records(n)
+            assert len(table.mo) == FREE_TREE_COUNTS[n - 1]
+            assert_rows_are(table, enumerate(all_trees(n)))
+
+    def test_sample_at_16(self):
+        table = _records(16)
+        sample = set(random.Random(16).sample(range(len(table.mo)), 400))
+        assert_rows_are(table, ((row, t) for row, t in enumerate(all_trees(16)) if row in sample))
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    def test_center_rooted_level_sequences_of_drawn_trees(self, n, seed):
+        t = random_tree(n, seed)
+        stack = [(tree_mod._centers(t)[0], -1, 0)]
+        sequence = []
+        while stack:  # preorder from a center: the level sequence of t
+            v, parent, d = stack.pop()
+            sequence.append(d)
+            stack.extend((w, v, d + 1) for w in reversed(t.adj[v]) if w != parent)
+        table = _Table(np.array([sequence], dtype=np.uint8))
+        assert_rows_are(table, [(0, t)], same_labels=False)
 
 
 class TestRandomTree:

@@ -10,6 +10,7 @@ import mostar.tree as tree_mod
 from mostar import (
     Tree,
     canonical_form,
+    mostar_bfs,
     mostar_fast,
     parse_edge_list,
     psi_edge,
@@ -58,9 +59,17 @@ def test_text_round_trip_and_regimes_agree(case):
 @given(relabeled_trees().filter(lambda case: case[0] <= 60), st.randoms(use_true_random=False))
 def test_walks_match_distance_definitions(case, rnd):
     """The walks behind stats, centers, psi_edge and paths agree with
-    all-pairs distances from the oracle's own search."""
+    all-pairs distances from the oracle's own search, and the index pass
+    agrees with the oracle in both size regimes."""
     n, edges = case
     t = Tree(n, edges)
+    with mock.patch.object(tree_mod, "_SMALL_N", 1):
+        array_backed = Tree(n, edges)
+    assert t._parent is None and array_backed._parent is not None
+    for tree in (t, array_backed):
+        fast_total, fast_splits = mostar_fast(tree)
+        bfs_total, bfs_splits = mostar_bfs(tree)
+        assert fast_total == bfs_total and list(fast_splits) == list(bfs_splits)
     dist = [tree_mod._bfs_distances(t.adj, v) for v in range(n)]
     ecc = [max(row) for row in dist]
     assert stats(t).diameter == max(ecc)

@@ -1,13 +1,19 @@
 """Brute-force extremal search, the claim registry, and report formats."""
 
+import hashlib
 import json
+import time
+from unittest import mock
 
 import pytest
 
+import mostar.enumeration
+import mostar.verify
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
     FamilySpec,
+    Tree,
     build,
     canonical_form,
     check_claim,
@@ -18,6 +24,7 @@ from mostar import (
     is_isomorphic,
     mostar_fast,
 )
+from mostar.cli import main
 from mostar.verify import (
     REGISTRY,
     _records,
@@ -66,6 +73,36 @@ class TestExtremalSearch:
             extremal_search(8, everything, "max", cap=7)
         with pytest.raises(EnumerationCapError):
             check_degree_sequence_structure(8, cap=7)
+
+    def test_search_builds_trees_for_the_optimizers_only(self):
+        refuse = mock.Mock(side_effect=AssertionError("per-class work on the search path"))
+        _records.cache_clear()
+        with mock.patch.object(mostar.verify, "stats", refuse), \
+                mock.patch.object(mostar.verify, "mostar_fast", refuse), \
+                mock.patch.object(mostar.enumeration, "stats", refuse), \
+                mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
+            value, argopt = extremal_search(10, ConstraintSpec.odd_count(4), "min")
+        assert value == mostar_fast(build(FamilySpec.c(10, 1, 0)))[0]
+        assert argopt and built.call_count == len(argopt)
+
+    def test_millis_excludes_the_table_fill(self, monkeypatch):
+        fill = mostar.verify._Table
+
+        def slow_fill(depth):
+            time.sleep(0.25)
+            return fill(depth)
+
+        spy = mock.Mock(side_effect=slow_fill)
+        monkeypatch.setattr(mostar.verify, "_Table", spy)
+        reports = []
+        try:
+            for cid in claim_ids():  # each claim starts with no table filled
+                _records.cache_clear()
+                reports += check_claim(cid, 6, 6)
+        finally:
+            _records.cache_clear()
+        assert spy.call_count == len(claim_ids()) - 1  # C2.7 needs no table
+        assert reports and max(r.millis for r in reports) < 250
 
 
 class TestClaims:
@@ -185,6 +222,19 @@ class TestReportFormats:
         reports = check_claim("T2.1", 6, 6) + check_claim("T3.4", 6, 6)
         obj = reports_to_json_obj(reports)
         assert isinstance(obj, list) and {o["claim"] for o in obj} == {"T2.1", "T3.4"}
+
+    def test_verify_json_frozen_to_12(self, tmp_path, capsys):
+        # every claim's JSON at orders 5..12, less the timings, as it
+        # stood before the search table replaced per-class records
+        target = tmp_path / "v.json"
+        assert main(["verify", "--claim", "all", "--n-min", "5", "--n-max", "12",
+                     "--format", "json", "--out", str(target)]) == 0
+        obj = json.loads(target.read_text())
+        for claim in obj:
+            for inst in claim["instances"]:
+                del inst["millis"]
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest == "c75027cd8d2217b01f6bfb55867f2fe4e475ca19bb812f781b3d1027fe0c364e"
 
     def test_csv_one_row_per_instance(self):
         reports = check_claim("T3.1", 6, 7)
