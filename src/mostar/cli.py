@@ -24,7 +24,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -34,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import io as tio
-from .enumeration import DEFAULT_CAP, ConstraintSpec, random_tree, trees_satisfying
+from .enumeration import DEFAULT_CAP, ConstraintSpec, _selected, random_tree
 from .families import ParameterError, build, parse_family_spec
 from .transforms import (
     HypothesisError,
@@ -79,13 +78,12 @@ _JSON_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
 _TABLE_BLOCK = 8192
 
 
-def _write_table(fh, n: int, splits, row: str = _ROW, sep: str = "") -> None:
-    """One row per split, formatted from int64 columns a block at a time."""
+def _split_blocks(n: int, splits):
+    """Rows ``u, v, n_u, n_v, psi`` per split, from int64 columns a block at a time."""
     edges, n_u = splits._columns()
     for lo in range(0, len(n_u), _TABLE_BLOCK):
         s = n_u[lo:lo + _TABLE_BLOCK]
-        block = np.column_stack((edges[lo:lo + _TABLE_BLOCK], s, n - s, np.abs(n - 2 * s)))
-        fh.write((sep if lo else "") + sep.join([row] * len(s)) % tuple(block.ravel().tolist()))
+        yield np.column_stack((edges[lo:lo + _TABLE_BLOCK], s, n - s, np.abs(n - 2 * s)))
 
 
 def _cmd_compute(args) -> int:
@@ -96,13 +94,13 @@ def _cmd_compute(args) -> int:
             fh.write('{\n  "n": %d,\n  "mostar": %d,\n  "splits": [' % (t.n, total))
             if len(splits):
                 fh.write("\n")
-                _write_table(fh, t.n, splits, _JSON_ROW, ",\n")
+                tio._write_rows(fh, _split_blocks(t.n, splits), _JSON_ROW, ",\n")
                 fh.write("\n  ")
             fh.write("]\n}\n")
         else:
             fh.write(f"Mo = {total}\n")
             if not args.total_only:
-                _write_table(fh, t.n, splits)
+                tio._write_rows(fh, _split_blocks(t.n, splits), _ROW)
     return 0
 
 
@@ -149,21 +147,24 @@ def _parse_filter(text: str) -> ConstraintSpec:
     raise argparse.ArgumentTypeError(f"bad filter {text!r}; expected one of: {_FILTER_HELP}")
 
 
-def _cmd_enumerate(args) -> int:
-    constraint = args.filter if args.filter is not None else ConstraintSpec.unconstrained()
-    stream = trees_satisfying(args.n, constraint, cap=args.cap)
-    if args.offset or args.limit is not None:
-        stop = None if args.limit is None else args.offset + args.limit
-        stream = itertools.islice(stream, args.offset, stop)
+def _window(selected, offset: int, limit: Optional[int]):
+    """The (parent, child) pairs of selected rows ``offset`` to ``offset + limit - 1``,
+    a batch at a time; no batch is read once the window is full."""
+    seen, stop = 0, sys.maxsize if limit is None else offset + limit
+    while seen < stop and (batch := next(selected, None)):
+        table, rows = batch
+        yield table.edges(rows[max(offset - seen, 0):stop - seen])
+        seen += len(rows)
 
+
+def _cmd_enumerate(args) -> int:
+    for flag, value in (("--offset", args.offset), ("--limit", args.limit)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+    constraint = args.filter if args.filter is not None else ConstraintSpec.unconstrained()
+    window = _window(_selected(args.n, constraint, args.cap), args.offset, args.limit)
     with _output(args.out) as fh:
-        if args.format == "edgelist":
-            count = 0
-            for t in stream:
-                fh.write(tio.to_edge_list_text(t))
-                count += 1
-        else:
-            count = tio.write_ndjson(stream, fh)
+        count = tio._write_rows(fh, window, tio._RECORD_ROWS[args.format](args.n))
     print(f"{count} trees", file=sys.stderr)
     return 0
 

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .tree import Tree, TreeStats, stats  # noqa: F401  stats stays patchable here
+from .tree import Tree, TreeStats
 
 __all__ = [
     "DEFAULT_CAP",
@@ -236,18 +236,10 @@ def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
     sequence 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, ...  Vertex ``i`` is
     position ``i`` of the sequence, and the edges are listed by child.
     """
-    _check_cap(n, cap)
-    last = [0] * n  # last[d]: the latest vertex at depth d, the parent of depth d + 1
-    for seq in _level_sequences(n):
-        edges = []
-        for i in range(1, n):
-            d = seq[i]
-            edges.append((last[d - 1], i))
-            last[d] = i
-        yield Tree(n, edges)
+    return trees_satisfying(n, ConstraintSpec.unconstrained(), cap)
 
 
-# Classes per search table when a filtered stream works through an order.
+# Classes per search table when a stream works through an order.
 _BATCH = 1024
 
 
@@ -327,23 +319,33 @@ class _Table:
         keep = constraint._where(self) if self.n > 1 else constraint.kind == "unconstrained"
         return np.flatnonzero(np.broadcast_to(keep, self.mo.shape))
 
+    def edges(self, rows) -> np.ndarray:
+        """The (parent, child) pairs of the classes in ``rows``, shaped
+        (..., n - 1, 2): child ``i`` is position ``i`` of the sequence."""
+        parent = self.parent[rows, 1:]
+        pairs = np.empty(parent.shape + (2,), np.intp)
+        pairs[..., 0], pairs[..., 1] = parent, np.arange(1, self.n)
+        return pairs
+
     def tree(self, row: int) -> Tree:
         """The class in ``row``, labelled as :func:`all_trees` labels it."""
-        return Tree(self.n, list(zip(self.parent[row, 1:].tolist(), range(1, self.n))))
+        return Tree(self.n, self.edges(row))
 
 
-def trees_satisfying(n: int, constraint: ConstraintSpec, cap: Optional[int] = None) -> Iterator[Tree]:
-    """Filter ``all_trees(n)`` by a tree-class constraint, masking a table
-    per batch of level sequences and building only the trees emitted."""
+def _selected(n: int, constraint: ConstraintSpec, cap: Optional[int] = None):
+    """Each batch's table of order n with the rows in the constraint's class."""
     constraint.validate()
-    if constraint.kind == "unconstrained":
-        yield from all_trees(n, cap=cap)
-        return
     _check_cap(n, cap)
     for depth in _batches(n):
         table = _Table(depth)
-        for row in table.select(constraint).tolist():
-            yield table.tree(row)
+        yield table, table.select(constraint)
+
+
+def trees_satisfying(n: int, constraint: ConstraintSpec, cap: Optional[int] = None) -> Iterator[Tree]:
+    """One tree per class of order n that meets the constraint, in generator order."""
+    for table, rows in _selected(n, constraint, cap):
+        for edges in table.edges(rows).tolist():
+            yield Tree(n, edges)
 
 
 def prufer_to_edges(seq: Sequence[int]) -> list[tuple[int, int]]:

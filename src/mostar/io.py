@@ -9,7 +9,7 @@ object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
 
 from __future__ import annotations
 
-import json
+from itertools import chain
 from pathlib import Path
 from typing import IO, Union
 
@@ -25,16 +25,37 @@ __all__ = [
     "to_dot",
     "tree_record",
     "tree_from_record",
-    "write_ndjson",
 ]
 
 PathLike = Union[str, Path]
 
 
+# A tree of order n as one record per format, with a slot per edge id.
+_RECORD_ROWS = {
+    "edgelist": lambda n: f"{n}\n" + "%d %d\n" * (n - 1),
+    "ndjson": lambda n: '{"n":%d,"edges":[' % n + ",".join(["[%d,%d]"] * (n - 1)) + "]}\n",
+}
+
+
+def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
+    """Write ``row`` filled from each row of each int block, rows joined
+    by ``sep``, one ``%`` per block; returns the number of rows written."""
+    count = 0
+    for block in blocks:
+        if len(block):
+            values = tuple(block.ravel().tolist())
+            fh.write((sep if count else "") + sep.join([row] * len(block)) % values)
+            count += len(block)
+    return count
+
+
+def _ids(t: Tree) -> tuple[int, ...]:
+    """The edge ids ``u0, v0, u1, v1, ...``, from the int64 array above ``_SMALL_N``."""
+    return tuple(chain.from_iterable(t.edges) if t._earr is None else t._earr.ravel().tolist())
+
+
 def to_edge_list_text(t: Tree) -> str:
-    lines = [str(t.n)]
-    lines.extend(f"{u} {v}" for u, v in t.edges)
-    return "\n".join(lines) + "\n"
+    return _RECORD_ROWS["edgelist"](t.n) % _ids(t)
 
 
 def parse_edge_list(text: str) -> Tree:
@@ -79,17 +100,9 @@ def read_edge_list(source: Union[PathLike, IO[str]]) -> Tree:
 
 
 def to_dot(t: Tree, name: str = "tree") -> str:
-    lines = [f"graph {name} {{"]
-    covered = set()
-    for u, v in t.edges:
-        lines.append(f"  {u} -- {v};")
-        covered.add(u)
-        covered.add(v)
-    for v in range(t.n):
-        if v not in covered:
-            lines.append(f"  {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # only K1 has a vertex on no edge; the name stays out of the template
+    body = "  0;\n" if t.n == 1 else "  %d -- %d;\n" * (t.n - 1) % _ids(t)
+    return f"graph {name} {{\n{body}}}\n"
 
 
 def tree_record(t: Tree) -> dict:
@@ -98,19 +111,3 @@ def tree_record(t: Tree) -> dict:
 
 def tree_from_record(record: dict) -> Tree:
     return Tree(int(record["n"]), [(int(u), int(v)) for u, v in record["edges"]])
-
-
-def write_ndjson(trees, target: Union[PathLike, IO[str]]) -> int:
-    """Write one JSON record per tree; returns the number written."""
-    def _dump(fh) -> int:
-        count = 0
-        for t in trees:
-            fh.write(json.dumps(tree_record(t), separators=(",", ":")))
-            fh.write("\n")
-            count += 1
-        return count
-
-    if hasattr(target, "write"):
-        return _dump(target)
-    with open(target, "w") as fh:
-        return _dump(fh)

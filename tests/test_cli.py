@@ -1,22 +1,28 @@
 """Command-line surface: dispatch, formats, and exit codes."""
 
 import json
+from unittest import mock
 
 import pytest
 
 from mostar import (
+    ConstraintSpec,
     FamilySpec,
     Tree,
+    all_trees,
     build,
     is_isomorphic,
     mostar_bfs,
     mostar_fast,
     parse_edge_list,
     random_tree,
+    to_edge_list_text,
     tree_from_record,
+    tree_record,
+    trees_satisfying,
     write_edge_list,
 )
-from mostar.cli import main
+from mostar.cli import _parse_filter, main
 
 
 def run(capsys, *argv):
@@ -178,6 +184,56 @@ class TestEnumerate:
         _, full, _ = run(capsys, "enumerate", "--n", "7")
         _, window, _ = run(capsys, "enumerate", "--n", "7", "--offset", "3", "--limit", "2")
         assert window.splitlines() == full.splitlines()[3:5]
+
+    @pytest.mark.parametrize("flag", ["--offset", "--limit"])
+    def test_negative_window_exits_2(self, capsys, flag):
+        code, out, err = run(capsys, "enumerate", "--n", "7", flag, "-1")
+        assert code == 2 and out == "" and f"error: {flag} must be >= 0" in err
+
+    @pytest.mark.parametrize("window", [["--offset", "11"], ["--offset", "500"], ["--limit", "0"]])
+    def test_empty_window(self, capsys, window):
+        code, out, err = run(capsys, "enumerate", "--n", "7", *window)
+        assert (code, out, err) == (0, "", "0 trees\n")
+
+    @pytest.mark.parametrize("n, batch", [(1, 1024), (2, 1024), (7, 1024), (10, 7)])
+    @pytest.mark.parametrize("fmt", ["ndjson", "edgelist"])
+    def test_output_equals_the_per_tree_rendering(self, capsys, monkeypatch, n, batch, fmt):
+        import mostar.enumeration
+
+        monkeypatch.setattr(mostar.enumeration, "_BATCH", batch)
+        if fmt == "edgelist":
+            render = to_edge_list_text
+        else:
+            def render(t):
+                return json.dumps(tree_record(t), separators=(",", ":")) + "\n"
+        # branch=3 leaves some batches of 7 empty at n = 10; windows cross batches
+        for filt in ([], ["--filter", "branch=3"]):
+            trees = list(trees_satisfying(n, _parse_filter(filt[1]) if filt else
+                                          ConstraintSpec.unconstrained()))
+            for offset, limit in ((0, None), (3, 9), (5, 9), (20, None), (1, 100)):
+                window = ["--offset", str(offset)] + (["--limit", str(limit)] if limit else [])
+                code, out, err = run(capsys, "enumerate", "--n", str(n), "--format", fmt,
+                                     *filt, *window)
+                kept = trees[offset:None if limit is None else offset + limit]
+                assert (code, out, err) == (0, "".join(map(render, kept)), f"{len(kept)} trees\n")
+
+    def test_builds_no_tree(self, capsys):
+        import mostar.enumeration
+
+        with mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
+            for filt in ([], ["--filter", "deg2=2"]):
+                code, out, _ = run(capsys, "enumerate", "--n", "10", *filt)
+                assert code == 0 and out
+        assert built.call_count == 0
+
+    def test_window_reads_only_the_batches_it_needs(self, capsys):
+        import mostar.enumeration
+
+        with mock.patch.object(mostar.enumeration, "_Table", wraps=mostar.enumeration._Table) as fills:
+            code, out, _ = run(capsys, "enumerate", "--n", "12", "--limit", "3")
+        first = [json.dumps(tree_record(t), separators=(",", ":")) for t in all_trees(12)][:3]
+        assert code == 0 and out.splitlines() == first
+        assert fills.call_count == 1 and 1301 > mostar.enumeration._BATCH  # n = 12 has two batches
 
     def test_bad_filter_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -187,14 +187,14 @@ class TestTreesSatisfying:
         def refuse(t):
             raise AssertionError("stats called on an unfiltered stream")
 
-        with mock.patch.object(mostar.enumeration, "stats", refuse):
+        with mock.patch.object(mostar.enumeration, "stats", refuse, create=True):
             for n in range(1, 9):
                 streamed = trees_satisfying(n, ConstraintSpec.unconstrained())
                 assert [t.edges for t in streamed] == [t.edges for t in all_trees(n)]
 
     def test_filtered_stream_builds_only_the_trees_it_emits(self):
         refuse = mock.Mock(side_effect=AssertionError("stats called on a filtered stream"))
-        with mock.patch.object(mostar.enumeration, "stats", refuse), \
+        with mock.patch.object(mostar.enumeration, "stats", refuse, create=True), \
                 mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
             kept = list(trees_satisfying(10, ConstraintSpec.deg2_count(2)))
         assert kept and built.call_count == len(kept)

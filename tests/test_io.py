@@ -6,12 +6,14 @@ import json
 import numpy as np
 import pytest
 
+import mostar.tree as tree_mod
 from mostar import (
     FamilySpec,
     Tree,
     build,
     is_isomorphic,
     parse_edge_list,
+    random_tree,
     read_edge_list,
     to_dot,
     to_edge_list_text,
@@ -88,6 +90,16 @@ def test_dot_output():
     assert dot.startswith("graph tree {")
     assert "0 -- 1;" in dot and "1 -- 2;" in dot
     assert to_dot(Tree(1, [])).count("0;") == 1
+
+
+def test_text_and_dot_of_a_large_tree_skip_the_tuple_view():
+    t = random_tree(3000, 8)
+    pairs = t._earr.tolist()
+    assert t.n > tree_mod._SMALL_N
+    assert to_edge_list_text(t) == f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    assert to_dot(t, "a%db") == "graph a%db {\n" + "".join(f"  {u} -- {v};\n" for u, v in pairs) + "}\n"
+    assert t._edges is None
+    assert to_dot(Tree(1, []), "%s") == "graph %s {\n  0;\n}\n"
 
 
 def test_record_round_trip_isomorphic():

@@ -79,7 +79,7 @@ class TestExtremalSearch:
         _records.cache_clear()
         with mock.patch.object(mostar.verify, "stats", refuse), \
                 mock.patch.object(mostar.verify, "mostar_fast", refuse), \
-                mock.patch.object(mostar.enumeration, "stats", refuse), \
+                mock.patch.object(mostar.enumeration, "stats", refuse, create=True), \
                 mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
             value, argopt = extremal_search(10, ConstraintSpec.odd_count(4), "min")
         assert value == mostar_fast(build(FamilySpec.c(10, 1, 0)))[0]
