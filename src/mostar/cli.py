@@ -30,8 +30,6 @@ import time
 from contextlib import contextmanager
 from typing import Optional
 
-import numpy as np
-
 from . import io as tio
 from .enumeration import DEFAULT_CAP, ConstraintSpec, _selected, random_tree
 from .families import ParameterError, build, parse_family_spec
@@ -75,15 +73,6 @@ _ROW = "  (%d, %d)  n_u=%d  n_v=%d  psi=%d\n"
 # One split as json.dumps(..., indent=2) writes it inside the "splits" list.
 _JSON_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
              '      "n_u": %d,\n      "n_v": %d,\n      "psi": %d\n    }')
-_TABLE_BLOCK = 8192
-
-
-def _split_blocks(n: int, splits):
-    """Rows ``u, v, n_u, n_v, psi`` per split, from int64 columns a block at a time."""
-    edges, n_u = splits._columns()
-    for lo in range(0, len(n_u), _TABLE_BLOCK):
-        s = n_u[lo:lo + _TABLE_BLOCK]
-        yield np.column_stack((edges[lo:lo + _TABLE_BLOCK], s, n - s, np.abs(n - 2 * s)))
 
 
 def _cmd_compute(args) -> int:
@@ -94,13 +83,13 @@ def _cmd_compute(args) -> int:
             fh.write('{\n  "n": %d,\n  "mostar": %d,\n  "splits": [' % (t.n, total))
             if len(splits):
                 fh.write("\n")
-                tio._write_rows(fh, _split_blocks(t.n, splits), _JSON_ROW, ",\n")
+                tio._write_rows(fh, splits._blocks(), _JSON_ROW, ",\n")
                 fh.write("\n  ")
             fh.write("]\n}\n")
         else:
             fh.write(f"Mo = {total}\n")
             if not args.total_only:
-                tio._write_rows(fh, _split_blocks(t.n, splits), _ROW)
+                tio._write_rows(fh, splits._blocks(), _ROW)
     return 0
 
 

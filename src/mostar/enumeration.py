@@ -383,8 +383,6 @@ def random_tree(n: int, seed: int) -> Tree:
     """Uniformly random labeled tree on n >= 2 vertices, seeded."""
     if n < 2:
         raise ValueError(f"random_tree needs n >= 2, got {n}")
-    if n == 2:
-        return Tree(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return Tree(n, prufer_to_edges(seq))

@@ -45,9 +45,6 @@ class ParameterError(ValueError):
     """Family parameters violate the construction's preconditions."""
 
 
-_KINDS = ("path", "star", "spider", "cat", "C", "F", "srk", "A")
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Tagged parameter record naming one family instance.
@@ -98,23 +95,11 @@ class FamilySpec:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``C:n=7,a=1,b=1`` or ``cat:d=4,3,2``."""
-        if self.kind == "path":
-            return f"path:n={self.n}"
-        if self.kind == "star":
-            return f"star:n={self.n}"
-        if self.kind == "spider":
-            return f"spider:n={self.n},r={self.r}"
         if self.kind == "cat":
             return "cat:d=" + ",".join(str(d) for d in self.degrees)
-        if self.kind == "C":
-            return f"C:n={self.n},a={self.a},b={self.b}"
-        if self.kind == "F":
-            return f"F:n={self.n},a={self.a},b={self.b}"
-        if self.kind == "srk":
-            return f"srk:n={self.n},k={self.k},r={self.r}"
-        if self.kind == "A":
-            return f"A:n={self.n},r={self.r},a={self.a},b={self.b}"
-        raise ParameterError(f"unknown family kind {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ParameterError(f"unknown family kind {self.kind!r}")
+        return f"{self.kind}:" + ",".join(f"{p}={getattr(self, p)}" for p in _KINDS[self.kind][1])
 
     def __str__(self) -> str:
         return self.to_text()
@@ -126,7 +111,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     kind = head.strip()
     matched = next((k for k in _KINDS if k.lower() == kind.lower()), None)
     if matched is None:
-        raise ParameterError(f"unknown family kind {kind!r}; expected one of {_KINDS}")
+        raise ParameterError(f"unknown family kind {kind!r}; expected one of {tuple(_KINDS)}")
     kind = matched
     if kind == "cat":
         if not rest.startswith("d="):
@@ -147,8 +132,7 @@ def parse_family_spec(text: str) -> FamilySpec:
                 params[key] = int(value)
             except ValueError:
                 raise ParameterError(f"non-integer value for {key!r} in {text!r}") from None
-    required = {"path": "n", "star": "n", "spider": "nr", "C": "nab", "F": "nab",
-                "srk": "nkr", "A": "nrab"}[kind]
+    required = _KINDS[kind][1]
     missing = [p for p in required if p not in params]
     if missing:
         raise ParameterError(f"{kind} spec is missing parameters {missing}")
@@ -268,29 +252,30 @@ def _build_a(n: int, r: int, a: int, b: int) -> Tree:
     return Tree(n, edges)
 
 
+# Each kind's builder and the FamilySpec fields it takes, in argument
+# order; a kind's text form lists the same fields (``cat`` as ``d=``).
+_KINDS = {
+    "path": (_build_path, ("n",)),
+    "star": (_build_star, ("n",)),
+    "spider": (_build_spider, ("n", "r")),
+    "cat": (_build_caterpillar, ("degrees",)),
+    "C": (_build_c, ("n", "a", "b")),
+    "F": (_build_f, ("n", "a", "b")),
+    "srk": (_build_srk, ("n", "k", "r")),
+    "A": (_build_a, ("n", "r", "a", "b")),
+}
+
+
 def build(spec: FamilySpec) -> Tree:
     """Construct the tree named by ``spec``.
 
     Raises :class:`ParameterError` naming the violated constraint when
     the parameters are out of range.
     """
-    if spec.kind == "path":
-        return _build_path(spec.n)
-    if spec.kind == "star":
-        return _build_star(spec.n)
-    if spec.kind == "spider":
-        return _build_spider(spec.n, spec.r)
-    if spec.kind == "cat":
-        return _build_caterpillar(spec.degrees)
-    if spec.kind == "C":
-        return _build_c(spec.n, spec.a, spec.b)
-    if spec.kind == "F":
-        return _build_f(spec.n, spec.a, spec.b)
-    if spec.kind == "srk":
-        return _build_srk(spec.n, spec.k, spec.r)
-    if spec.kind == "A":
-        return _build_a(spec.n, spec.r, spec.a, spec.b)
-    raise ParameterError(f"unknown family kind {spec.kind!r}")
+    if spec.kind not in _KINDS:
+        raise ParameterError(f"unknown family kind {spec.kind!r}")
+    builder, fields = _KINDS[spec.kind]
+    return builder(*(getattr(spec, p) for p in fields))
 
 
 def _deg2_minimizer(n: int, t: int) -> FamilySpec:

@@ -106,7 +106,8 @@ def to_dot(t: Tree, name: str = "tree") -> str:
 
 
 def tree_record(t: Tree) -> dict:
-    return {"n": t.n, "edges": [[u, v] for u, v in t.edges]}
+    ids = _ids(t)
+    return {"n": t.n, "edges": [[u, v] for u, v in zip(ids[::2], ids[1::2])]}
 
 
 def tree_from_record(record: dict) -> Tree:

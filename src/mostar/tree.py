@@ -25,7 +25,8 @@ This module provides:
 Every small-tree walk goes through one of a few private helpers next
 to ``_bfs``: ``_path`` (the path between two vertices), ``_side`` (the
 vertices on one side of a vertex), ``_chain`` (a run of degree-2
-vertices) and ``_diametral_path`` (a longest path, which gives both the
+vertices), ``_spine`` (the internal vertices of a caterpillar, in order)
+and ``_diametral_path`` (a longest path, which gives both the
 diameter and the centers).  ``transforms`` and ``verify`` use them too.
 Only the oracle :func:`mostar_bfs` keeps its own distance search.
 
@@ -61,7 +62,7 @@ __all__ = [
 # constructor calls scipy and keeps the parent array for mostar_fast.
 _SMALL_N = 2048
 
-# Rows per block when array-backed splits are turned into Python objects.
+# Rows per block when splits are read out of their columns.
 _BLOCK = 8192
 
 
@@ -77,54 +78,45 @@ class EdgeSplit(NamedTuple):
 class SplitSequence(Sequence):
     """Sequence of :class:`EdgeSplit`, materialized lazily.
 
-    Backed by two parallel columns: the edges and the ``n_u`` counts.
-    Above ``_SMALL_N`` they are the tree's ``(n - 1, 2)`` int64 edge
-    array and an int64 array; below it (and for :func:`mostar_bfs`)
-    the tree's edge tuple and a list.  A million-edge result therefore
-    costs two arrays, and :class:`EdgeSplit` records, with Python ints,
-    are built only on indexing or iteration.  Supports ``len``,
-    indexing, slicing and iteration like a plain list.
+    Backed by two int64 columns at every size: the ``(m, 2)`` edges and
+    the ``n_u`` counts.  A million-edge result therefore costs two
+    arrays; ``n_v`` and ``psi`` are derived a block of rows at a time by
+    :meth:`_blocks`, and :class:`EdgeSplit` records, with Python ints,
+    are built from those blocks only on indexing or iteration.  Supports
+    ``len``, indexing, slicing and iteration like a plain list.
     """
 
     __slots__ = ("_edges", "_n_u", "_n")
 
     def __init__(self, edges, n_u_values, n: int):
-        self._edges = edges
-        self._n_u = n_u_values
+        self._edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        self._n_u = np.asarray(n_u_values, dtype=np.int64)
         self._n = n
 
     def __len__(self) -> int:
         return len(self._n_u)
 
-    def _block(self, lo: int, hi: int) -> Iterator[EdgeSplit]:
-        """The records of rows lo..hi-1, built from Python ints."""
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """Rows ``u, v, n_u, n_v, psi`` as ``(k, 5)`` int64 arrays of at
+        most ``_BLOCK`` rows each."""
         n = self._n
-        edges, n_u = self._edges[lo:hi], self._n_u[lo:hi]
-        if isinstance(n_u, np.ndarray):
-            edges = zip(edges[:, 0].tolist(), edges[:, 1].tolist())
-            n_v, psi, n_u = (n - n_u).tolist(), np.abs(n - 2 * n_u).tolist(), n_u.tolist()
-        else:
-            n_v = [n - s for s in n_u]
-            psi = [abs(n - 2 * s) for s in n_u]
-        return map(EdgeSplit._make, zip(edges, n_u, n_v, psi))
-
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edges as an (m, 2) int64 array and ``n_u`` as an int64 array."""
-        return (np.asarray(self._edges, dtype=np.int64).reshape(-1, 2),
-                np.asarray(self._n_u, dtype=np.int64))
+        for lo in range(0, len(self), _BLOCK):
+            s = self._n_u[lo:lo + _BLOCK]
+            yield np.column_stack((self._edges[lo:lo + _BLOCK], s, n - s, np.abs(n - 2 * s)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [next(self._block(j, j + 1)) for j in range(*i.indices(len(self)))]
+            return list(SplitSequence(self._edges[i], self._n_u[i], self._n))
         if i < 0:
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(i)
-        return next(self._block(i, i + 1))
+        return self[i:i + 1][0]
 
     def __iter__(self) -> Iterator[EdgeSplit]:
-        for lo in range(0, len(self), _BLOCK):
-            yield from self._block(lo, lo + _BLOCK)
+        for block in self._blocks():
+            u, v, n_u, n_v, psi = block.T.tolist()
+            yield from map(EdgeSplit._make, zip(zip(u, v), n_u, n_v, psi))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (SplitSequence, list, tuple)):
@@ -376,6 +368,21 @@ def _diametral_path(adj) -> list[int]:
     return _climb(parent, order[-1])
 
 
+def _spine(t: Tree) -> list[int] | None:
+    """The internal (degree >= 2) vertices in path order, starting at the
+    end with the smaller id, or None when they do not form a path, that
+    is when the tree is not a caterpillar."""
+    deg = t.degrees
+    inner = {v: [w for w in t.adj[v] if deg[w] >= 2] for v in range(t.n) if deg[v] >= 2}
+    if len(inner) <= 1:
+        return list(inner)
+    width = {v: len(ws) for v, ws in inner.items()}
+    if max(width.values()) > 2:
+        return None
+    end = min(v for v in inner if width[v] == 1)
+    return [end, *_chain(inner, width, end, inner[end][0])]
+
+
 def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
     """Mostar index and per-edge splits.
 
@@ -392,8 +399,6 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
         :class:`EdgeSplit` aligned with ``t.edges``.
     """
     n = t.n
-    if n == 1:
-        return 0, SplitSequence((), (), 1)
     if t._parent is None:
         parent, order = _bfs(t.adj)
         sizes = [1] * n
@@ -450,8 +455,6 @@ def mostar_bfs(t: Tree) -> tuple[int, SplitSequence]:
     against, so it deliberately shares no machinery with it.
     """
     n = t.n
-    if n == 1:
-        return 0, SplitSequence((), (), 1)
     adj = t.adj
     n_u_values = []
     total = 0
@@ -556,14 +559,6 @@ def stats(t: Tree) -> TreeStats:
             acc += maximal.get(r, 0)
             census[r] = acc
 
-    internal = [v for v in range(n) if deg[v] >= 2]
-    is_caterpillar = True
-    internal_set = set(internal)
-    for v in internal:
-        if sum(1 for w in t.adj[v] if w in internal_set) > 2:
-            is_caterpillar = False
-            break
-
     return TreeStats(
         degree_sequence=degree_sequence,
         odd_count=odd_count,
@@ -573,7 +568,7 @@ def stats(t: Tree) -> TreeStats:
         pendent_path_census=MappingProxyType(census),
         maximal_run_census=MappingProxyType(maximal),
         is_series_reduced=(deg2_count == 0),
-        is_caterpillar=is_caterpillar,
+        is_caterpillar=_spine(t) is not None,
         diameter=len(_diametral_path(t.adj)) - 1,
     )
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .enumeration import ConstraintSpec, _batches, _check_cap, _Table
 from .families import FamilySpec, ParameterError, build, claimed_extremal
-from .tree import Tree, _path, canonical_form, mostar_fast, stats
+from .tree import Tree, _spine, canonical_form, mostar_fast, stats
 
 __all__ = [
     "TheoremClaim",
@@ -311,16 +311,8 @@ def _check_spider_monotonicity(claim_id: str, n: int, cap: Optional[int]) -> lis
 def _spine_degree_path(t: Tree) -> Optional[list[int]]:
     """Tree degrees along the internal-vertex path, or None if the
     internal vertices do not form a path (not a spine caterpillar)."""
-    deg = t.degrees
-    internal = [v for v in range(t.n) if deg[v] >= 2]
-    if len(internal) <= 1:
-        return [deg[v] for v in internal]
-    iset = set(internal)
-    inner_neighbors = {v: [w for w in t.adj[v] if w in iset] for v in internal}
-    if any(len(ws) > 2 for ws in inner_neighbors.values()):
-        return None
-    ends = sorted(v for v in internal if len(inner_neighbors[v]) == 1)
-    return [deg[v] for v in _path(t.adj, ends[0], ends[1])]
+    spine = _spine(t)
+    return None if spine is None else [t.degrees[v] for v in spine]
 
 
 def _is_valley(seq: list[int]) -> bool:

@@ -72,7 +72,6 @@ class TestCompute:
     @pytest.mark.parametrize("t", [random_tree(3000, 17), Tree(1, []), Tree(2, [(1, 0)])],
                              ids=["random3000", "n1", "n2"])
     def test_table_same_in_both_regimes_and_sinks(self, capsys, tmp_path, monkeypatch, t):
-        import mostar.cli as cli_mod
         import mostar.tree as tree_mod
 
         f = tmp_path / "t.txt"
@@ -81,9 +80,9 @@ class TestCompute:
         # the other regime: 3000 vertices as a small tree, n = 2 as an array
         other = 10**7 if t.n > tree_mod._SMALL_N else 1
         outputs = []
-        for small_n, block in ((tree_mod._SMALL_N, cli_mod._TABLE_BLOCK), (other, 1000)):
+        for small_n, block in ((tree_mod._SMALL_N, tree_mod._BLOCK), (other, 1000)):
             monkeypatch.setattr(tree_mod, "_SMALL_N", small_n)
-            monkeypatch.setattr(cli_mod, "_TABLE_BLOCK", block)
+            monkeypatch.setattr(tree_mod, "_BLOCK", block)
             code, out, _ = run(capsys, "compute", str(f))
             assert code == 0
             outputs.append(out)
@@ -109,9 +108,9 @@ class TestCompute:
     @pytest.mark.parametrize("t", [Tree(1, []), Tree(2, [(1, 0)]), build(FamilySpec.c(7, 1, 1)),
                                    random_tree(9000, 4)], ids=["n1", "n2", "n7", "random9000"])
     def test_json_and_table_bytes_past_one_block(self, capsys, tmp_path, t):
-        import mostar.cli as cli_mod
+        import mostar.tree as tree_mod
 
-        assert t.n <= 7 or t.n - 1 > cli_mod._TABLE_BLOCK  # the large tree spans two blocks
+        assert t.n <= 7 or t.n - 1 > tree_mod._BLOCK  # the large tree spans two blocks
         f = tmp_path / "t.txt"
         write_edge_list(t, f)
         total, splits = mostar_fast(t)

@@ -98,6 +98,7 @@ def test_text_and_dot_of_a_large_tree_skip_the_tuple_view():
     assert t.n > tree_mod._SMALL_N
     assert to_edge_list_text(t) == f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
     assert to_dot(t, "a%db") == "graph a%db {\n" + "".join(f"  {u} -- {v};\n" for u, v in pairs) + "}\n"
+    assert tree_record(t) == {"n": t.n, "edges": [[u, v] for u, v in pairs]}
     assert t._edges is None
     assert to_dot(Tree(1, []), "%s") == "graph %s {\n  0;\n}\n"
 

@@ -3,6 +3,7 @@
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,41 @@ def relabeled_trees(draw):
              for u, v in edges]
     rng.shuffle(edges)
     return n, edges
+
+
+@st.composite
+def defective_trees(draw):
+    """(n, edges): a drawn tree with one defect that no tree on n vertices has."""
+    n, edges = draw(relabeled_trees())
+    i = draw(st.integers(0, n - 2))
+    u, v = edges[i]
+    defect = draw(st.sampled_from(["range", "loop", "duplicate", "missing", "extra", "type"]))
+    if defect == "range":
+        edges[i] = (u, draw(st.sampled_from([-1, n, n + 7])))
+    elif defect == "loop":
+        edges[i] = (u, u)
+    elif defect == "duplicate":  # reversed, in place of another edge (extra when n = 2)
+        if n > 2:
+            edges[i - 1] = (v, u)
+        else:
+            edges.append((v, u))
+    elif defect == "missing":
+        del edges[i]
+    elif defect == "extra":
+        edges.append((u, draw(st.integers(0, n - 1))))
+    else:
+        edges[i] = (u, draw(st.sampled_from([0.5, 1.0, "1", None])))
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(defective_trees())
+def test_bad_edges_rejected_in_both_regimes(case):
+    """One defect is a ValueError on the pure-Python and the array path alike."""
+    n, edges = case
+    for small_n in (SMALL_N, 1, 10**7):
+        with mock.patch.object(tree_mod, "_SMALL_N", small_n), pytest.raises(ValueError):
+            Tree(n, edges)
 
 
 @settings(max_examples=40, deadline=None, database=None)
