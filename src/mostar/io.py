@@ -58,22 +58,34 @@ def to_edge_list_text(t: Tree) -> str:
     return _RECORD_ROWS["edgelist"](t.n) % _ids(t)
 
 
+def _token_values(text: str) -> np.ndarray:
+    """Every whitespace-separated token read as an int64, one by one."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty edge-list input")
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except ValueError as exc:
+        raise ValueError(f"edge list contains a non-integer token: {exc}") from None
+    except OverflowError as exc:
+        raise ValueError(f"edge list contains an id outside the 64-bit range: {exc}") from None
+
+
 def parse_edge_list(text: str) -> Tree:
     """Parse the edge-list format; malformed input raises ``ValueError``.
 
     Tokens are whitespace separated and read as one int64 array, so an
     id outside the 64-bit range is rejected like any other bad token.
+    A text of ASCII digits and whitespace is read in one ``np.fromstring``
+    pass unless it has no token or holds the int64 maximum (that pass
+    saturates there); the token path judges every other text.
     """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty edge-list input")
-    try:
-        values = np.array(tokens, dtype=np.int64)
-    except ValueError as exc:
-        raise ValueError(f"edge list contains a non-integer token: {exc}") from None
-    except OverflowError as exc:
-        raise ValueError(f"edge list contains an id outside the 64-bit range: {exc}") from None
-    del tokens  # the strings outweigh the array; free them before building
+    values = None
+    if text.isascii() and not text.isspace():  # fromstring reads blank text as [0]
+        if not text.encode().translate(None, b"0123456789 \t\n\r\x0b\x0c"):
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values is None or not len(values) or values.max() == np.iinfo(np.int64).max:
+        values = _token_values(text)
     n = int(values[0])
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")

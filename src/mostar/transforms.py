@@ -22,8 +22,8 @@ together with the hypothesis that makes the index move strictly:
   (or a whole hanging subtree) at a different vertex; these realize the
   parameter shifts inside the C, F and A families.
 
-All operations preserve the vertex count and return new trees; inputs
-are never mutated.
+All operations but :func:`attach_two_paths` keep the vertex count;
+each returns new trees and never mutates its inputs.
 """
 
 from __future__ import annotations

@@ -226,9 +226,11 @@ class Tree:
             raise ValueError(f"edges must be pairs of integer ids, got array shape {e.shape}")
         if e.dtype.kind not in "iu":
             raise ValueError(f"edge ids must be integers, got array dtype {e.dtype}")
-        e = np.sort(e.astype(np.int64, copy=False), axis=1)
-        u = e[:, 0]
-        v = e[:, 1]
+        a, b = e.astype(np.int64, copy=False).T
+        e = np.empty((n - 1, 2), dtype=np.int64)  # never the caller's array
+        u = np.minimum(a, b, out=e[:, 0])
+        v = np.maximum(a, b, out=e[:, 1])
+        del a, b  # a temporary input array is freed before the search
         if u.min() < 0 or v.max() >= n:
             raise ValueError(f"edge ids outside 0..{n - 1}")
         if (u == v).any():

@@ -2,10 +2,12 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import mostar.io as io_mod
 import mostar.tree as tree_mod
 from mostar import (
     FamilySpec,
@@ -72,6 +74,37 @@ def _path_text(n, last):
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ValueError):
         parse_edge_list(text)
+
+
+def test_whitespace_only_text_is_empty():
+    # np.fromstring reads blank text as [0]; it must not become "vertex count 0"
+    for text in ("  \n", "\t\r\n\x0b\x0c"):
+        with pytest.raises(ValueError, match="empty edge-list input"):
+            parse_edge_list(text)
+
+
+@pytest.mark.parametrize("n", [3, 3000])
+def test_crlf_and_tab_separators_parse_like_lf_and_space(n):
+    text = _path_text(n, f"{n - 2} {n - 1}")
+    odd = text.replace("\n", "\r\n").replace(" ", "\t \t")
+    assert parse_edge_list(odd) == parse_edge_list(text) == Tree(n, [(i, i + 1) for i in range(n - 1)])
+
+
+@pytest.mark.parametrize("n", [3, 3000])
+def test_int64_max_id_is_out_of_range(n):
+    # the compiled pass saturates to this value on overflow, so it is read again by token
+    with pytest.raises(ValueError, match="outside 0.."):
+        parse_edge_list(_path_text(n, f"{n - 2} 9223372036854775807"))
+
+
+def test_plain_text_skips_the_token_path_and_signed_text_takes_it():
+    text = _path_text(3000, "2998 2999")
+    with mock.patch.object(io_mod, "_token_values", wraps=io_mod._token_values) as spy:
+        plain = parse_edge_list(text)
+        assert spy.call_count == 0
+        signed = parse_edge_list("+" + text)
+        assert spy.call_count == 1
+    assert plain == signed and plain.n == 3000
 
 
 @pytest.mark.parametrize("n", [3, 3000])

@@ -101,6 +101,18 @@ class TestTreeConstruction:
         with pytest.raises(ValueError, match="connected"):
             Tree(n, [(i, i + 1) for i in range(n - 2)] + [(0, 1)])
 
+    @pytest.mark.parametrize("dtype", ["int64", "int32", "uint16"])
+    def test_large_edge_array_is_a_sorted_read_only_copy(self, dtype):
+        import numpy as np
+
+        edges = random_tree(3000, 4)._earr[:, ::-1].astype(dtype)
+        t = Tree(3000, edges)
+        expected = np.sort(edges.astype(np.int64), axis=1).tobytes()
+        assert t._earr.dtype == np.int64 and t._earr.tobytes() == expected
+        assert not t._earr.flags.writeable and not np.shares_memory(t._earr, edges)
+        edges[:] = 0  # the caller's array stays the caller's
+        assert t._earr.tobytes() == expected
+
 
 class TestMostarIndex:
     def test_p2_is_zero(self):
