@@ -1,5 +1,8 @@
 """Family constructors: worked instances, invariants, and parameter errors."""
 
+import hashlib
+import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -16,6 +19,7 @@ from mostar import (
     stats,
     to_edge_list_text,
 )
+from mostar.transforms import attach_two_paths
 
 
 class TestBuildExamples:
@@ -246,3 +250,43 @@ class TestClaimedExtremal:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             claimed_extremal(7, ConstraintSpec.unconstrained(), "up")
+
+
+def _label_grid():
+    """Every kind at n = 1..40, rejected values included, plus caterpillars."""
+    for n in range(1, 41):
+        h = n // 2 + 1
+        yield FamilySpec.path(n)
+        yield FamilySpec.star(n)
+        for r in range(n + 1):
+            yield FamilySpec.spider(n, r)
+        for a, b in itertools.product(range(-1, h + 1), repeat=2):
+            yield FamilySpec.c(n, a, b)
+            yield FamilySpec.f(n, a, b)
+        for k, r in itertools.product(range(h + 1), range(n)):
+            yield FamilySpec.srk(n, k, r)
+        for r, a in itertools.product(range(6), range(h + 1)):
+            for b in range(-1, a + 2):
+                yield FamilySpec.a_family(n, r, a, b)
+    for z in range(1, 6):
+        for degrees in itertools.product(range(1, 5), repeat=z):
+            yield FamilySpec.caterpillar(degrees)
+
+
+class TestFrozenLabels:
+    def test_labels_edge_order_and_messages_frozen(self):
+        # Labels and edge order are part of the output (golden files,
+        # `mostar family`), so every build, every rejection message and
+        # every attach_two_paths result on one comb is pinned.
+        entries = []
+        for spec in _label_grid():
+            try:
+                entries.append([spec.to_text(), list(build(spec).edges)])
+            except ParameterError as exc:
+                entries.append([spec.to_text(), str(exc)])
+        comb = build(parse_family_spec("C:n=9,a=1,b=1"))
+        for u, a, b in itertools.product(range(comb.n), range(4), range(4)):
+            entries.append([[u, a, b], list(attach_two_paths(comb, u, a, b).edges)])
+        digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+        assert len(entries) == 59658
+        assert digest == "0948c12732af1bfce18c5781bc5644c73562162ce49e9d11465ad9826b5e100d"
