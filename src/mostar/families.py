@@ -21,9 +21,10 @@ Constructors for the parametrized families used throughout the library:
 * ``A`` - A^r(n, a, b): a path with a pendent paths of length r at one
   end and b at the other.
 
-Labeling is deterministic: spine (or center) vertices first, then
-pendant vertices appended in definition order, so golden files are
-reproducible; isomorphism checks absorb the remaining freedom.
+Labeling is deterministic and lives in ``_grow`` alone: the spine path
+0..spine-1 first (the lone center for stars, spiders and S^r), then each
+pendent path ("leg") in definition order, numbered on from the last id.
+Golden files are reproducible; isomorphism checks absorb the rest.
 
 ``claimed_extremal`` maps a tree-class constraint and an optimization
 direction to the family that is claimed to attain the optimum over that
@@ -33,7 +34,7 @@ class; the verify module confirms those claims by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .enumeration import ConstraintSpec
 from .tree import Tree
@@ -147,36 +148,37 @@ def _require(condition: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def _grow(n: int, legs: Iterable[tuple[int, int]], edges: Iterable[tuple[int, int]] = ()) -> Tree:
+    """Hang each ``(anchor, length)`` leg in turn as a pendent path of new ids.
+
+    New ids follow those of ``edges`` (default: vertex 0 alone), so a
+    family's first leg ``(0, spine - 1)`` lays down its spine 0..spine-1.
+    """
+    edges = list(edges)
+    nxt = len(edges) + 1
+    for anchor, length in legs:
+        prev = anchor
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return Tree(n, edges)
+
+
 def _build_path(n: int) -> Tree:
     _require(n >= 1, f"path requires n >= 1, got n={n}")
-    return Tree(n, [(i, i + 1) for i in range(n - 1)])
+    return _grow(n, [(0, n - 1)])
 
 
 def _build_star(n: int) -> Tree:
     _require(n >= 2, f"star requires n >= 2, got n={n}")
-    return Tree(n, [(0, i) for i in range(1, n)])
-
-
-def _attach_path(edges: list, anchor: int, length: int, next_id: int) -> int:
-    """Append a pendent path of ``length`` new vertices at ``anchor``."""
-    prev = anchor
-    for _ in range(length):
-        edges.append((prev, next_id))
-        prev = next_id
-        next_id += 1
-    return next_id
+    return _grow(n, [(0, 1)] * (n - 1))
 
 
 def _build_spider(n: int, r: int) -> Tree:
     _require(2 <= r <= n - 1, f"spider requires 2 <= r <= n-1, got n={n}, r={r}")
     q, t = divmod(n - 1, r)
-    # t legs of length q+1 first, then r-t legs of length q.
-    legs = [q + 1] * t + [q] * (r - t)
-    edges: list = []
-    nxt = 1
-    for length in legs:
-        nxt = _attach_path(edges, 0, length, nxt)
-    return Tree(n, edges)
+    return _grow(n, [(0, q + 1)] * t + [(0, q)] * (r - t))
 
 
 def _build_caterpillar(degrees: tuple[int, ...]) -> Tree:
@@ -184,15 +186,10 @@ def _build_caterpillar(degrees: tuple[int, ...]) -> Tree:
     _require(z >= 2, f"caterpillar spine needs z >= 2 vertices, got {z}")
     _require(all(d >= 2 for d in degrees),
              f"caterpillar spine degrees must all be >= 2, got {degrees}")
-    n = sum(degrees) - z + 2
-    edges = [(j, j + 1) for j in range(z - 1)]
-    nxt = z
+    legs = [(0, z - 1)]
     for j, d in enumerate(degrees):
-        pendants = d - 2 + (j == 0) + (j == z - 1)
-        for _ in range(pendants):
-            edges.append((j, nxt))
-            nxt += 1
-    return Tree(n, edges)
+        legs += [(j, 1)] * (d - 2 + (j == 0) + (j == z - 1))
+    return _grow(sum(degrees) - z + 2, legs)
 
 
 def _build_c(n: int, a: int, b: int) -> Tree:
@@ -201,55 +198,34 @@ def _build_c(n: int, a: int, b: int) -> Tree:
     _require(2 * (a + b) <= n - 1, f"C requires 2*(a+b) <= n-1, got n={n}, a={a}, b={b}")
     _require(a + 1 < n - a - 2 * b,
              f"C attachment windows must be disjoint (a+1 < n-a-2b), got n={n}, a={a}, b={b}")
-    spine = n - a - b
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
     hosts = list(range(2, a + 2)) + list(range(n - a - 2 * b, n - a - b))
-    for i in hosts:
-        edges.append((i - 1, nxt))  # v_i is vertex i-1 in 0-based labels
-        nxt += 1
-    return Tree(n, edges)
+    return _grow(n, [(0, n - a - b - 1)] + [(i - 1, 1) for i in hosts])  # v_i is vertex i-1
 
 
 def _build_f(n: int, a: int, b: int) -> Tree:
     _require(a >= 0 and b >= 0, f"F requires a, b >= 0, got a={a}, b={b}")
     _require(2 * (a + b) <= n - 5, f"F requires 2*(a+b) <= n-5, got n={n}, a={a}, b={b}")
-    spine = n - a - b - 2
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
     hosts = [2] + list(range(2, a + 3)) + list(range(n - a - 2 * b - 2, n - a - b - 2))
-    for i in hosts:
-        edges.append((i - 1, nxt))
-        nxt += 1
-    return Tree(n, edges)
+    return _grow(n, [(0, n - a - b - 3)] + [(i - 1, 1) for i in hosts])
+
+
+def _srk_in_range(n: int, k: int, r: int) -> bool:
+    return (k == 1 and 2 <= r <= n - 3) or (k >= 2 and r >= 2 and k * r <= n - 2)
 
 
 def _build_srk(n: int, k: int, r: int) -> Tree:
-    ok = (k == 1 and 2 <= r <= n - 3) or (k >= 2 and r >= 2 and k * r <= n - 2)
-    _require(ok, "srk requires (k=1 and 2 <= r <= n-3) or (k >= 2, r >= 2, k*r <= n-2), "
-                 f"got n={n}, k={k}, r={r}")
-    edges: list = []
-    nxt = 1
-    for _ in range(k):
-        nxt = _attach_path(edges, 0, r, nxt)
-    for _ in range(n - k * r - 1):
-        edges.append((0, nxt))
-        nxt += 1
-    return Tree(n, edges)
+    _require(_srk_in_range(n, k, r),
+             "srk requires (k=1 and 2 <= r <= n-3) or (k >= 2, r >= 2, k*r <= n-2), "
+             f"got n={n}, k={k}, r={r}")
+    return _grow(n, [(0, r)] * k + [(0, 1)] * (n - k * r - 1))
 
 
 def _build_a(n: int, r: int, a: int, b: int) -> Tree:
     _require(a >= b >= 0 and a >= 1, f"A requires a >= b >= 0 and a >= 1, got a={a}, b={b}")
     _require(r >= 1, f"A requires r >= 1, got r={r}")
     _require((a + b) * r <= n - 2, f"A requires (a+b)*r <= n-2, got n={n}, r={r}, a={a}, b={b}")
-    spine = n - (a + b) * r
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    nxt = spine
-    for _ in range(a):
-        nxt = _attach_path(edges, 0, r, nxt)
-    for _ in range(b):
-        nxt = _attach_path(edges, spine - 1, r, nxt)
-    return Tree(n, edges)
+    end = n - (a + b) * r - 1  # the spine's last vertex
+    return _grow(n, [(0, end)] + [(0, r)] * a + [(end, r)] * b)
 
 
 # Each kind's builder and the FamilySpec fields it takes, in argument
@@ -350,8 +326,7 @@ def claimed_extremal(n: int, constraint: ConstraintSpec, direction: str) -> Opti
             if r == 1:
                 # k pendent paths of length one = k leaves: the balanced spider.
                 return FamilySpec.spider(n, k) if 3 <= k <= n - 2 else None
-            ok = (k == 1 and 2 <= r <= n - 3) or (k >= 2 and r >= 2 and k * r <= n - 2)
-            return FamilySpec.srk(n, k, r) if ok else None
+            return FamilySpec.srk(n, k, r) if _srk_in_range(n, k, r) else None
         if k == 1 and 2 <= r <= n - 3:
             # The broom: a long path with two extra leaves at one end.  Stated
             # with legs (1, 2) but built as the mirror image (2, 1) so a >= b.

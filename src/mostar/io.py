@@ -1,10 +1,11 @@
 """On-disk tree formats.
 
 Edge-list text (the canonical format): first line is the vertex count
-``n``, followed by exactly ``n - 1`` lines ``u v`` with 0-based ids,
-whitespace separated, LF line endings.  DOT export writes an undirected
-graph with vertex ids as node names.  NDJSON records are one JSON
-object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
+``n``, followed by exactly ``n - 1`` lines ``u v`` with 0-based ids.
+The writer emits single spaces and LF line endings; the reader takes
+any whitespace between tokens (tabs, CRLF).  DOT export writes an
+undirected graph with vertex ids as node names.  NDJSON records are one
+JSON object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
 """
 
 from __future__ import annotations

@@ -31,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .tree import Tree, _chain, _path, _side, mostar_fast, stats
+from .families import _grow
+from .tree import Tree, _chain, _diametral_path, _path, _side, mostar_fast
 
 __all__ = [
     "HypothesisError",
@@ -195,7 +196,7 @@ def shift_branch_to_end(
     for a, b in zip(path, path[1:]):
         if not t.has_edge(a, b):
             raise ValueError(f"({a}, {b}) is not an edge; path is not a path of the tree")
-    if r != stats(t).diameter:
+    if r != len(_diametral_path(t.adj)) - 1:
         raise ValueError("path is not a longest path of the tree")
     if not 1 <= i <= r - 1:
         raise ValueError(f"i must index an internal path vertex, got i={i}")
@@ -252,18 +253,10 @@ def attach_two_paths(t: Tree, u: int, length_a: int, length_b: int) -> Tree:
     """Attach two new pendent paths of the given lengths at ``u``.
 
     New vertices take ids t.n, t.n+1, ... along the first path and then
-    the second, matching the deterministic labeling used by the family
-    constructors.  A zero length attaches nothing.
+    the second, grown by the helper the family constructors use.  A zero
+    length attaches nothing.
     """
     _check_ids(t, u)
     if length_a < 0 or length_b < 0:
         raise ValueError("path lengths must be >= 0")
-    edges = list(t.edges)
-    nxt = t.n
-    for length in (length_a, length_b):
-        prev = u
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree(t.n + length_a + length_b, edges)
+    return _grow(t.n + length_a + length_b, [(u, length_a), (u, length_b)], t.edges)

@@ -152,7 +152,7 @@ class Tree:
     first use.  Either way ``edges`` and ``adj`` hold Python ints.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set", "_canon")
+    __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -170,7 +170,6 @@ class Tree:
         self._earr = None
         self._parent = None
         self._edge_set = None
-        self._canon = None
         if n <= _SMALL_N:
             if isinstance(edges, np.ndarray):
                 edges = edges.tolist()
@@ -605,9 +604,7 @@ def canonical_form(t: Tree) -> str:
     string is returned, which is root-choice independent because any
     isomorphism maps centers to centers.
     """
-    if t._canon is None:
-        t._canon = min(_rooted_code(t, c) for c in _centers(t))
-    return t._canon
+    return min(_rooted_code(t, c) for c in _centers(t))
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
