@@ -30,11 +30,33 @@ from mostar import (
     stats,
     trees_satisfying,
 )
-from mostar.enumeration import _Table
+from mostar.enumeration import _batches, _Table
 from mostar.verify import _records
 
 # Classes of unlabeled trees per order (frozen after the dedup cross-check).
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+
+# SHA-256 of every level-sequence row of order n = 1..18, in generator order.
+ROW_DIGESTS = [
+    "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "b413f47d13ee2fe6c845b2ee141af81de858df4ec549a58b7970bb96645bc8d2",
+    "fbb59ed10e9cd4ff45a12c5bb92cbd80df984ba1fe60f26a30febf218e2f0f5e",
+    "3774a0c5ecaf521c31a2f6984f28e317880a93f56a52e67cdd81768fd11288d5",
+    "13d0c7efa6414aafd0fb3fbd6900e00fae0590649de8b450725c680819a63a1b",
+    "d296650050743f4c338d9b22faa61ab341bf5364ba405447529d70a964b3d726",
+    "b3aecde5cb4d55ac7f3b8229b2ff24e2c8fa1bacbff192b5a75e363f255706e1",
+    "538b7da8519cdc272c5be487f878b87e27fd1be6bb5e5e116d5524a3ed803562",
+    "152f4e7ed7ed088a37d5cc62025ed30e4211f3435377acb8a15ec25c06e063f8",
+    "affcca541476d16f9474d3ece3376d47d52255242c4bfbdb12851f41e51c93b5",
+    "c1c944e01c131985c386217a8a77b1e802d50f0b101c7b91d1190e69e806c760",
+    "c6dd4e51b8afcb18c4d1bce9e8b6eafbf02212f2ae61755fc659219973878c96",
+    "783d8a4eae37992db69074fc6df52c22ae76214cb62ec9776e48302a8dbb0928",
+    "86b198329454b54ff105dd773d4696e4a1be3ae9f1c67e7b0248094635df7091",
+    "f88ba3e8c9256cc9aed8685bdf68141d9121fb71456774aa87c0dfda1b1c62a1",
+    "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608",
+    "3da49a5ae2ee366f84c462b3e658cb1aaf1d9f4200363ba0e154872fa730ba77",
+    "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54",
+]
 
 
 class TestAllTrees:
@@ -83,6 +105,21 @@ class TestAllTrees:
         text = json.dumps([[n, sorted(t.edges)] for n in range(1, 13) for t in all_trees(n)])
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "a8a826c0f140943e90daebcec88586e5b3fd59a70dd680950e73c11303255d9f"
+
+    def test_batch_rows_frozen(self):
+        # The generator's level sequences, byte for byte, to order 18.
+        digests = [hashlib.sha256(np.concatenate(list(_batches(n))).tobytes()).hexdigest()
+                   for n in range(1, 19)]
+        assert digests == ROW_DIGESTS
+
+    @pytest.mark.parametrize("batch", [7, 1])
+    def test_batch_size_does_not_change_rows(self, batch):
+        for n in range(1, 13):
+            rows = np.concatenate(list(_batches(n)))
+            with mock.patch.object(mostar.enumeration, "_BATCH", batch):
+                short = list(_batches(n))
+            assert all(1 <= len(b) <= batch for b in short), n
+            assert np.array_equal(np.concatenate(short), rows), n
 
     def test_enumeration_verify_and_cli_never_import_networkx(self, tmp_path):
         code = (
