@@ -137,12 +137,13 @@ def _parse_filter(text: str) -> ConstraintSpec:
 
 
 def _window(selected, offset: int, limit: Optional[int]):
-    """The (parent, child) pairs of selected rows ``offset`` to ``offset + limit - 1``,
-    a batch at a time; no batch is read once the window is full."""
+    """The parents of vertices 1..n-1 of selected rows ``offset`` to
+    ``offset + limit - 1``, a batch at a time; no batch is read once the
+    window is full."""
     seen, stop = 0, sys.maxsize if limit is None else offset + limit
     while seen < stop and (batch := next(selected, None)):
         table, rows = batch
-        yield table.edges(rows[max(offset - seen, 0):stop - seen])
+        yield table.parent[rows[max(offset - seen, 0):stop - seen], 1:]
         seen += len(rows)
 
 
@@ -153,7 +154,7 @@ def _cmd_enumerate(args) -> int:
     constraint = args.filter if args.filter is not None else ConstraintSpec.unconstrained()
     window = _window(_selected(args.n, constraint, args.cap), args.offset, args.limit)
     with _output(args.out) as fh:
-        count = tio._write_rows(fh, window, tio._RECORD_ROWS[args.format](args.n))
+        count = tio._write_rows(fh, window, tio._record_row(args.format, args.n, range(1, args.n)))
     print(f"{count} trees", file=sys.stderr)
     return 0
 

@@ -14,7 +14,6 @@ for the 100+ million classes that appear in the mid-20s.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,59 +172,68 @@ def _check_cap(n: int, cap: Optional[int]) -> None:
             "raise the cap explicitly if you really want this")
 
 
-def _next_rooted(seq: list[int], p: int) -> None:
-    """Beyer-Hedetniemi successor of a rooted level sequence, in place.
-
-    The block from the parent ``q`` of vertex ``p`` up to ``p`` is
-    repeated over the tail from ``p`` on.
-    """
-    n = len(seq)
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[: n - p]
+# The depths 1, 2, 3, ... as bytes, and the bytes.translate table of depth + 1.
+_RISE = bytes(range(1, 256))
+_UP = _RISE + b"\0"
 
 
-def _first_subtree_end(seq: list[int]) -> int:
-    """End of the root's first subtree: its second depth-1 vertex, or n."""
-    try:
-        return seq.index(1, 2)
-    except ValueError:
-        return len(seq)
-
-
-def _level_sequences(n: int) -> Iterator[list[int]]:
+def _level_sequences(n: int) -> Iterator[bytearray]:
     """Every free tree of order n >= 1 once, by the Wright-Richmond-
-    Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986).
+    Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986), in buffers of up
+    to ``_BATCH`` rows of n bytes.
 
     A tree is walked as a level sequence, the depth of each vertex in
     preorder from a root at a center.  Rooted trees follow one another
-    by the Beyer-Hedetniemi successor.  A sequence is the one kept for
-    its free tree unless the root's first subtree L is higher than the
-    rest R, or as high and larger, or as high, as large and
-    lexicographically later; such a sequence is replaced by a jump to
-    the next one that is kept.  The same list is yielded every time and
-    stepped in place afterwards.
+    by the Beyer-Hedetniemi successor at the last vertex ``p`` deeper
+    than 1: the block from p's parent ``q`` up to ``p`` is tiled over the
+    tail from ``p`` on.  A sequence is the one kept for its free tree
+    unless the root's first subtree L is higher than the rest R, or as
+    high and larger, or as high, as large and lexicographically later;
+    such a sequence is replaced by a jump to the next one that is kept.
+    Every sequence opens with the path 1..top to a deepest vertex, so
+    L's height is top - 1, the height ``top`` moves only when a step
+    cuts that path, and R's height is read off the depths it holds; L
+    and R are compared element by element only when heights and sizes
+    tie.  The sequence is one bytearray, searched, tiled and stripped by
+    bytes methods, and each kept sequence is copied into the next row of
+    the batch buffer; a full buffer is yielded and a new one started.
     """
-    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path, rooted at a center
+    seq = bytearray(range(n // 2 + 1)) + bytearray(range(1, (n + 1) // 2))  # the path, rooted at a center
+    top = n // 2  # the tree's height
+    size = _BATCH * n
+    rows, end = bytearray(size), 0
+    find, rfind = seq.find, seq.rfind
     while True:
-        m = _first_subtree_end(seq)
-        left = [d - 1 for d in seq[1:m]]
-        rest = [0] + seq[m:]
-        hl, hr = max(left, default=0), max(rest)  # K1 has no first subtree
-        if hr < hl or hr == hl and (len(left) > len(rest) or len(left) == len(rest) and left > rest):
-            deep = seq[m - 1] > 2
-            _next_rooted(seq, m - 1)
+        m = find(1, 2)  # L ends at the root's second child, or at n
+        if m < 0:
+            m = n
+        # L's height is top - 1.  R is lower if it holds no depth top - 1 (a
+        # vertex's path to the root holds every smaller depth), higher if it
+        # holds depth top; K1 has neither L nor a depth above 0.
+        if top > 1 and find(top - 1, m) < 0 or find(top, m) < 0 and (
+                2 * m > n + 2 or 2 * m == n + 2 and seq[1:m] > b"\1" + seq[m:].translate(_UP)):
+            p = m - 1
+            deep = seq[p] > 2
+            q = rfind(seq[p] - 1, 0, p)
+            seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[:n - p]
+            if p <= top:
+                top = p - 1
             if deep:
-                h = max(seq[1:_first_subtree_end(seq)])
-                seq[n - h:] = range(1, h + 1)
-        yield seq
-        p = n - 1
-        while seq[p] == 1:
-            p -= 1
+                seq[n - top:] = _RISE[:top]
+        rows[end:end + n] = seq
+        end += n
+        if end == size:
+            yield rows
+            rows, end = bytearray(size), 0
+        p = len(seq.rstrip(b"\1")) - 1  # the last vertex deeper than 1
         if p == 0:
-            return
-        _next_rooted(seq, p)
+            break
+        q = rfind(seq[p] - 1, 0, p)
+        seq[p:] = (seq[q:p] * ((n - p) // (p - q) + 1))[:n - p]
+        if p <= top:
+            top = p - 1
+    if end:
+        yield rows[:end]
 
 
 def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
@@ -244,10 +252,10 @@ _BATCH = 1024
 
 
 def _batches(n: int) -> Iterator[np.ndarray]:
-    """The level sequences of order n as (rows, n) uint8 matrices of up to ``_BATCH`` rows."""
-    sequences = _level_sequences(n)
-    while block := bytes(itertools.chain.from_iterable(itertools.islice(sequences, _BATCH))):
-        yield np.frombuffer(block, np.uint8).reshape(-1, n)
+    """The level sequences of order n as (rows, n) uint8 matrices of up
+    to ``_BATCH`` rows, each a view of one buffer of the generator."""
+    for rows in _level_sequences(n):
+        yield np.frombuffer(rows, np.uint8).reshape(-1, n)
 
 
 class _DegreeGroups:
@@ -263,46 +271,73 @@ class _DegreeGroups:
 
 class _Table:
     """Search columns of a (rows, n) matrix of level sequences, one row
-    per class, in int8 or int16: ``parent`` (-1 at the root), ``degrees``,
-    ``mo`` and ``runs`` (each leaf's pendant run, else 0).  Counts and
-    methods carry TreeStats' names, so ``ConstraintSpec._where`` reads
-    a table as it reads one tree.  Each loop steps over the positions,
-    all rows at once."""
+    per class, in int8 or int16: ``parent`` (-1 at the root) and
+    ``degrees``, built with the table, and ``mo``, ``runs`` (each leaf's
+    pendant run, else 0) and the four vertex counts, each built on its
+    first read.  Counts and methods carry TreeStats' names, so
+    ``ConstraintSpec._where`` reads a table as it reads one tree.  Each
+    loop steps over the positions, all rows at once."""
 
     def __init__(self, depth: np.ndarray):
         rows, n = depth.shape
-        base = np.arange(rows) * n
-
-        def at(m, cols):  # m[r, cols[r]] for every row r
-            return m.reshape(-1)[base + cols]
-
+        self._base = base = np.arange(rows) * n
         parent = np.full((rows, n), -1, np.int8)
         latest = np.zeros((rows, n), np.int8)  # latest[r, d]: the last vertex at depth d, a parent
         degrees = np.ones((rows, n), np.int8)
         degrees[:, 0] = 0
         for i in range(1, n):
             d = depth[:, i].astype(np.intp)
-            parent[:, i] = at(latest, d - 1)
+            parent[:, i] = self._at(latest, d - 1)
             latest.reshape(-1)[base + d] = i
             degrees.reshape(-1)[base + parent[:, i]] += 1
-        size = np.ones((rows, n), np.int16)
+        self.n, self.parent, self.degrees = n, parent, degrees
+
+    def _at(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``m[r, cols[r]]`` for every row r."""
+        return m.reshape(-1)[self._base + cols]
+
+    @cached_property
+    def mo(self) -> np.ndarray:
+        n, parent = self.n, self.parent
+        size = np.ones(parent.shape, np.int16)
         for i in range(n - 1, 0, -1):
-            size.reshape(-1)[base + parent[:, i]] += size[:, i]
+            size.reshape(-1)[self._base + parent[:, i]] += size[:, i]
+        return np.abs(n - 2 * size[:, 1:]).sum(axis=1, dtype=np.int16)
+
+    @cached_property
+    def runs(self) -> np.ndarray:
+        n, parent, degrees = self.n, self.parent, self.degrees
         inner = degrees < 3  # off the branch vertices the tree falls into paths
-        head = np.zeros((rows, n), np.int8)  # head[r, v]: the first vertex of v's path
+        head = np.zeros(parent.shape, np.int8)  # head[r, v]: the first vertex of v's path
         count = inner.astype(np.int8)  # count[r, v]: the order of the path that v heads
         for i in range(1, n):
-            joined = inner[:, i] & at(inner, parent[:, i])
-            head[:, i] = np.where(joined, at(head, parent[:, i]), i)
-            count.reshape(-1)[base + head[:, i]] += joined
+            joined = inner[:, i] & self._at(inner, parent[:, i])
+            head[:, i] = np.where(joined, self._at(head, parent[:, i]), i)
+            count.reshape(-1)[self._base + head[:, i]] += joined
         # a leaf's run is the order of its path, or n - 2 if that path is the tree
         runs = np.minimum(np.take_along_axis(count, head.astype(np.intp), axis=1), n - 2)
         runs[degrees != 1] = 0
-        self.n, self.parent, self.degrees, self.runs = n, parent, degrees, runs.astype(np.int8)
-        self.mo = np.abs(n - 2 * size[:, 1:]).sum(axis=1, dtype=np.int16)
-        self.odd_count, self.deg2_count, self.branch_count, self.leaf_count = (
-            np.count_nonzero(test, axis=1).astype(np.int8)
-            for test in (degrees % 2 == 1, degrees == 2, degrees >= 3, degrees == 1))
+        return runs.astype(np.int8)
+
+    @staticmethod
+    def _count(test: np.ndarray) -> np.ndarray:
+        return np.count_nonzero(test, axis=1).astype(np.int8)
+
+    @cached_property
+    def odd_count(self) -> np.ndarray:
+        return self._count(self.degrees % 2 == 1)
+
+    @cached_property
+    def deg2_count(self) -> np.ndarray:
+        return self._count(self.degrees == 2)
+
+    @cached_property
+    def branch_count(self) -> np.ndarray:
+        return self._count(self.degrees >= 3)
+
+    @cached_property
+    def leaf_count(self) -> np.ndarray:
+        return self._count(self.degrees == 1)
 
     @cached_property
     def degree_sequence(self) -> _DegreeGroups:
@@ -317,7 +352,7 @@ class _Table:
     def select(self, constraint: ConstraintSpec) -> np.ndarray:
         """Rows in the constraint's class; K1 is only in the unconstrained one."""
         keep = constraint._where(self) if self.n > 1 else constraint.kind == "unconstrained"
-        return np.flatnonzero(np.broadcast_to(keep, self.mo.shape))
+        return np.flatnonzero(np.broadcast_to(keep, len(self.parent)))
 
     def edges(self, rows) -> np.ndarray:
         """The (parent, child) pairs of the classes in ``rows``, shaped

@@ -34,6 +34,7 @@ class; the verify module confirms those claims by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Optional
 
 from .enumeration import ConstraintSpec
@@ -246,12 +247,30 @@ def build(spec: FamilySpec) -> Tree:
     """Construct the tree named by ``spec``.
 
     Raises :class:`ParameterError` naming the violated constraint when
-    the parameters are out of range.
+    the parameters are out of range, or naming the field when one that
+    the kind takes is missing or not an integer.
     """
     if spec.kind not in _KINDS:
         raise ParameterError(f"unknown family kind {spec.kind!r}")
     builder, fields = _KINDS[spec.kind]
-    return builder(*(getattr(spec, p) for p in fields))
+    return builder(*(_field(spec, p) for p in fields))
+
+
+def _integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _field(spec: FamilySpec, name: str):
+    """The spec's ``name`` field, checked to be an integer (``degrees``: a
+    sequence of integers); a missing, float or bool value is rejected."""
+    value = getattr(spec, name)
+    if name == "degrees":
+        if not isinstance(value, (tuple, list)) or not all(map(_integer, value)):
+            raise ParameterError(f"{spec.kind} requires degrees as a sequence of integers, "
+                                 f"got degrees={value!r}")
+    elif not _integer(value):
+        raise ParameterError(f"{spec.kind} requires an integer {name}, got {name}={value!r}")
+    return value
 
 
 def _deg2_minimizer(n: int, t: int) -> FamilySpec:

@@ -31,11 +31,18 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-# A tree of order n as one record per format, with a slot per edge id.
-_RECORD_ROWS = {
-    "edgelist": lambda n: f"{n}\n" + "%d %d\n" * (n - 1),
-    "ndjson": lambda n: '{"n":%d,"edges":[' % n + ",".join(["[%d,%d]"] * (n - 1)) + "]}\n",
-}
+def _record_row(fmt: str, n: int, children=None) -> str:
+    """A tree of order n as one ``edgelist`` or ``ndjson`` record, with a
+    ``%d`` slot per edge id.  Given the n - 1 ``children`` (the second id
+    of each edge), they are written into the record, so only the first
+    ids fill slots: an enumerated class formats just its parents."""
+    if fmt == "edgelist":
+        head, edge, sep, tail = f"{n}\n", "%d {}\n", "", ""
+    else:
+        head, edge, sep, tail = '{"n":%d,"edges":[' % n, "[%d,{}]", ",", "]}\n"
+    if children is None:
+        return head + sep.join([edge.format("%d")] * (n - 1)) + tail
+    return head + sep.join(map(edge.format, children)) + tail
 
 
 def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
@@ -56,7 +63,7 @@ def _ids(t: Tree) -> tuple[int, ...]:
 
 
 def to_edge_list_text(t: Tree) -> str:
-    return _RECORD_ROWS["edgelist"](t.n) % _ids(t)
+    return _record_row("edgelist", t.n) % _ids(t)
 
 
 def _token_values(text: str) -> np.ndarray:

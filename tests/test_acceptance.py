@@ -90,15 +90,32 @@ def test_criterion_2_closed_forms():
 
 
 def _diametral_paths(t):
-    from mostar.tree import _path
+    """Every path realizing the diameter, one per ordered endpoint pair
+    (a, b) in row-major order, a first: one search per source a."""
+    from mostar.tree import _bfs, _climb
 
     d = stats(t).diameter
-    return [
-        _path(t.adj, a, b)
-        for a in range(t.n)
-        for b in range(t.n)
-        if a != b and len(_path(t.adj, a, b)) - 1 == d
-    ]
+    paths = []
+    for a in range(t.n):
+        parent, order = _bfs(t.adj, a)
+        depth = [0] * t.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        paths += [_climb(parent, b)[::-1] for b in range(t.n) if depth[b] == d and b != a]
+    return paths
+
+
+def test_diametral_paths_match_the_pairwise_definition():
+    from mostar.tree import _path
+
+    rng = random.Random(20220722)
+    trees = [t for n in range(2, 10) for t in all_trees(n)]
+    trees += [random_tree(rng.randint(5, 40), rng.randrange(2**63)) for _ in range(200)]
+    for t in trees:
+        d = stats(t).diameter
+        pairwise = [_path(t.adj, a, b) for a in range(t.n) for b in range(t.n)
+                    if a != b and len(_path(t.adj, a, b)) - 1 == d]
+        assert _diametral_paths(t) == pairwise, t.edges
 
 
 def _non_pendent_edges(t):

@@ -229,10 +229,10 @@ class TestEnumerate:
         import mostar.enumeration
 
         with mock.patch.object(mostar.enumeration, "_Table", wraps=mostar.enumeration._Table) as fills:
-            code, out, _ = run(capsys, "enumerate", "--n", "12", "--limit", "3")
-        first = [json.dumps(tree_record(t), separators=(",", ":")) for t in all_trees(12)][:3]
+            code, out, _ = run(capsys, "enumerate", "--n", "13", "--limit", "3")
+        first = [json.dumps(tree_record(t), separators=(",", ":")) for t in all_trees(13)][:3]
         assert code == 0 and out.splitlines() == first
-        assert fills.call_count == 1 and 1301 > mostar.enumeration._BATCH  # n = 12 has two batches
+        assert fills.call_count == 1 and 1301 > mostar.enumeration._BATCH  # n = 13 has two batches
 
     def test_bad_filter_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

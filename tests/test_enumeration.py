@@ -1,5 +1,6 @@
 """Free-tree enumeration, class filtering, and random labeled trees."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import mostar
 import mostar.tree as tree_mod
+import mostar.verify
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
@@ -30,6 +32,7 @@ from mostar import (
     stats,
     trees_satisfying,
 )
+from mostar.cli import main
 from mostar.enumeration import _batches, _Table
 from mostar.verify import _records
 
@@ -305,6 +308,48 @@ class TestSearchTable:
             stack.extend((w, v, d + 1) for w in reversed(t.adj[v]) if w != parent)
         table = _Table(np.array([sequence], dtype=np.uint8))
         assert_rows_are(table, [(0, t)], same_labels=False)
+
+
+# The _Table columns built on first read.
+LAZY_COLUMNS = ("mo", "runs", "odd_count", "deg2_count", "branch_count", "leaf_count")
+
+
+@contextlib.contextmanager
+def column_builds():
+    """A spy on each lazy column's builder, by column name."""
+    with contextlib.ExitStack() as stack:
+        yield {name: stack.enter_context(mock.patch.object(
+            _Table.__dict__[name], "func", wraps=_Table.__dict__[name].func))
+            for name in LAZY_COLUMNS}
+
+
+class TestLazyColumns:
+    def builds(self, argv, tmp_path):
+        with column_builds() as spies:
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        return {name: spy.call_count for name, spy in spies.items()}
+
+    def test_unfiltered_enumerate_builds_no_column(self, tmp_path, capsys):
+        assert self.builds(["enumerate", "--n", "13"], tmp_path) == dict.fromkeys(LAZY_COLUMNS, 0)
+
+    def test_filtered_enumerate_builds_its_count_only(self, tmp_path, capsys):
+        built = self.builds(["enumerate", "--n", "13", "--filter", "deg2=3"], tmp_path)
+        assert built == {**dict.fromkeys(LAZY_COLUMNS, 0), "deg2_count": 2}  # two batches at n = 13
+
+    def test_verify_builds_each_column_once_per_order(self, tmp_path):
+        orders = range(5, 10)
+        _records.cache_clear()
+        try:
+            with mock.patch.object(mostar.verify, "_Table", wraps=_Table) as tables, \
+                    column_builds() as spies:
+                argv = ["verify", "--claim", "all", "--n-min", "5", "--n-max", "9"]
+                assert main([*argv, "--format", "json", "--out", str(tmp_path / "out")]) == 0
+        finally:
+            _records.cache_clear()
+        assert tables.call_count == len(orders)
+        for name, spy in spies.items():
+            read = [call.args[0] for call in spy.call_args_list]
+            assert 0 < len(read) == len(set(map(id, read))) <= len(orders), name
 
 
 class TestRandomTree:

@@ -6,6 +6,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mostar import (
     ConstraintSpec,
@@ -19,7 +21,35 @@ from mostar import (
     stats,
     to_edge_list_text,
 )
+from mostar.families import _KINDS
 from mostar.transforms import attach_two_paths
+
+# Values a FamilySpec field may hold by mistake: missing, float, bool, text.
+NOT_INTEGERS = st.one_of(st.none(), st.floats(allow_nan=False), st.booleans(),
+                         st.integers(-3, 12).map(float), st.text(max_size=3))
+
+
+def _field_values(name):
+    """Well-formed and malformed values of one FamilySpec field."""
+    if name != "degrees":
+        return st.integers(-2, 40), NOT_INTEGERS
+    entries = st.integers(-1, 6)
+    return st.lists(entries, max_size=5).map(tuple), st.one_of(
+        NOT_INTEGERS, entries, st.tuples(entries, NOT_INTEGERS))
+
+
+@st.composite
+def malformed_specs(draw):
+    """(spec, field): a spec whose first malformed field, in its kind's
+    field order, is ``field``; later fields may be malformed too."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    fields = _KINDS[kind][1]
+    first = draw(st.integers(0, len(fields) - 1))
+    values = {}
+    for i, name in enumerate(fields):
+        good, bad = _field_values(name)
+        values[name] = draw(good if i < first else bad if i == first else good | bad)
+    return FamilySpec(kind, **values), fields[first]
 
 
 class TestBuildExamples:
@@ -152,6 +182,24 @@ class TestParameterErrors:
             build(FamilySpec.c(7, 2, 2))
         with pytest.raises(ParameterError, match="disjoint"):
             build(FamilySpec.c(9, 4, 0))
+
+    @pytest.mark.parametrize("spec, field", [
+        (FamilySpec("C", n=9), "a"),
+        (FamilySpec("cat"), "degrees"),
+        (FamilySpec("spider", n=8, r=3.0), "r"),
+        (FamilySpec("path", n=True), "n"),
+        (FamilySpec("cat", degrees=(3, 2.0)), "degrees"),
+    ])
+    def test_malformed_field_named(self, spec, field):
+        with pytest.raises(ParameterError, match=f"requires .*{field}.*, got {field}="):
+            build(spec)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(malformed_specs())
+    def test_malformed_specs_rejected_naming_the_field(self, case):
+        spec, field = case
+        with pytest.raises(ParameterError, match=f"got {field}="):
+            build(spec)
 
 
 class TestSpecText:
