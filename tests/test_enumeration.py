@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import mostar
 import mostar.tree as tree_mod
-import mostar.verify
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
