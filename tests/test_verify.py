@@ -236,6 +236,27 @@ class TestReportFormats:
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
         assert digest == "c75027cd8d2217b01f6bfb55867f2fe4e475ca19bb812f781b3d1027fe0c364e"
 
+    @pytest.mark.parametrize("extra, code, err, text_digest, csv_digest", [
+        ((), 0, ["ok=502 fail=0 invalid=0 empty=0"],
+         "40972e2b446c43a43d8e4a8b291708de4dc2ac19ab2e928b3c4e804e20ef4939",
+         "383f5d702bc5ec90aa9ab02ed15c28e04a0655afb8f89056ca78923eca51c3f8"),
+        (("--maximal-census",), 1, ["ok=379 fail=101 invalid=0 empty=22", "101 failing instance(s)"],
+         "4e099899d783df1bc1b0446fb03fa725f1d728e2d0d86470bbc157c9fc20fa6a",
+         "0e3632ff127d546326916a23ffde2c2d88bc683fa8f8492aa24422ae0a29c659"),
+    ], ids=["default", "maximal-census"])
+    def test_verify_text_and_csv_frozen_to_12(self, capsys, extra, code, err, text_digest,
+                                              csv_digest):
+        # the text and CSV bytes (CSV less its millis column), the stderr
+        # lines and the exit code of every claim at orders 5..12
+        argv = ["verify", "--claim", "all", "--n-min", "5", "--n-max", "12", *extra]
+        for fmt, digest in (("text", text_digest), ("csv", csv_digest)):
+            assert main(argv + ["--format", fmt]) == code
+            out, got_err = capsys.readouterr()
+            if fmt == "csv":
+                out = "\n".join(line.rsplit(",", 1)[0] for line in out.splitlines())
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+            assert got_err.splitlines() == err
+
     def test_csv_one_row_per_instance(self):
         reports = check_claim("T3.1", 6, 7)
         text = reports_to_csv(reports)
