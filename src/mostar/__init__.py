@@ -16,7 +16,7 @@ from .enumeration import (
     random_tree,
     trees_satisfying,
 )
-from .families import FamilySpec, ParameterError, build, claimed_extremal, parse_family_spec
+from .families import FamilySpec, ParameterError, build, parse_family_spec
 from .io import (
     parse_edge_list,
     read_edge_list,
@@ -56,6 +56,7 @@ from .verify import (
     check_claim,
     check_degree_sequence_structure,
     claim_ids,
+    claimed_extremal,
     extremal_search,
 )
 

@@ -13,7 +13,8 @@ Subcommands:
                            values (and the hypothesis flag where one
                            applies).
 * ``verify``             - run registered extremal claims over an order
-                           range; exit 1 when any valid instance fails.
+                           range; exit 1 when any valid instance fails,
+                           2 when the range holds no instance at all.
                            The ok/fail/invalid/empty counts go to stderr.
 * ``bench``              - time the linear-pass index against the
                            quadratic definitional oracle.
@@ -27,6 +28,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from typing import Optional
 
@@ -43,13 +45,7 @@ from .transforms import (
     shift_branch_to_end,
 )
 from .tree import mostar_bfs, mostar_fast
-from .verify import (
-    REGISTRY,
-    check_claim,
-    failed_reports,
-    reports_to_csv,
-    reports_to_json_obj,
-)
+from .verify import REGISTRY, check_claim, reports_to_csv, reports_to_json_obj
 
 DEFAULT_SEED = 20220721
 
@@ -194,6 +190,10 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+# Each report status, in the order of the stderr counts, and its text label.
+_STATUS_TEXT = {"ok": "ok", "fail": "FAIL", "invalid": "INVALID ({})", "empty": "EMPTY CLASS"}
+
+
 def _cmd_verify(args) -> int:
     ids = list(REGISTRY) if args.claim == "all" else [args.claim]
     unknown = [cid for cid in ids if cid not in REGISTRY]
@@ -209,6 +209,10 @@ def _cmd_verify(args) -> int:
     for cid in ids:
         reports.extend(check_claim(cid, args.n_min, args.n_max, cap=args.cap,
                                    maximal_census=args.maximal_census))
+    if not reports:
+        print(f"error: claim {args.claim} has no instances at orders "
+              f"{args.n_min}..{args.n_max}", file=sys.stderr)
+        return 2
     reports.sort(key=lambda r: (r.claim_id, r.n, sorted(r.params.items()), r.direction))
     if args.format == "json":
         _write_output(json.dumps(reports_to_json_obj(reports), indent=2) + "\n", args.out)
@@ -218,25 +222,16 @@ def _cmd_verify(args) -> int:
         lines = []
         for r in reports:
             params = " ".join(f"{k}={v}" for k, v in r.params.items())
-            if r.invalid:
-                status = f"INVALID ({r.invalid})"
-            elif r.empty_class:
-                status = "EMPTY CLASS"
-            else:
-                status = "ok" if r.claimed_is_argopt else "FAIL"
             lines.append(
                 f"{r.claim_id} n={r.n} {params} [{r.direction}] "
                 f"brute={r.brute_value} claimed={r.claimed_value} "
-                f"unique={r.argopt_unique} {status}")
+                f"unique={r.argopt_unique} {_STATUS_TEXT[r.status].format(r.invalid)}")
         _write_output("\n".join(lines) + "\n", args.out)
-    # invalid and empty-class instances pass vacuously; count them apart
-    invalid = sum(1 for r in reports if r.invalid is not None)
-    empty = sum(1 for r in reports if r.invalid is None and r.empty_class)
-    failures = failed_reports(reports)
-    print(f"ok={len(reports) - len(failures) - invalid - empty} fail={len(failures)} "
-          f"invalid={invalid} empty={empty}", file=sys.stderr)
-    if failures:
-        print(f"{len(failures)} failing instance(s)", file=sys.stderr)
+    # invalid and empty-class instances pass vacuously; they are counted apart
+    counts = Counter(r.status for r in reports)
+    print(" ".join(f"{s}={counts[s]}" for s in _STATUS_TEXT), file=sys.stderr)
+    if counts["fail"]:
+        print(f"{counts['fail']} failing instance(s)", file=sys.stderr)
         return 1
     return 0
 

@@ -1,4 +1,4 @@
-"""Named tree families and the extremal claims attached to tree classes.
+"""Named tree families: constructors, parameter checks and text forms.
 
 Constructors for the parametrized families used throughout the library:
 
@@ -25,10 +25,8 @@ Labeling is deterministic and lives in ``_grow`` alone: the spine path
 0..spine-1 first (the lone center for stars, spiders and S^r), then each
 pendent path ("leg") in definition order, numbered on from the last id.
 Golden files are reproducible; isomorphism checks absorb the rest.
-
-``claimed_extremal`` maps a tree-class constraint and an optimization
-direction to the family that is claimed to attain the optimum over that
-class; the verify module confirms those claims by brute force.
+The family claimed to be extremal over each tree class is named in the
+verify module, beside the claims that use it.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Optional
 
-from .enumeration import ConstraintSpec
 from .tree import Tree
 
-__all__ = ["FamilySpec", "ParameterError", "build", "claimed_extremal", "parse_family_spec"]
+__all__ = ["FamilySpec", "ParameterError", "build", "parse_family_spec"]
 
 
 class ParameterError(ValueError):
@@ -271,89 +268,3 @@ def _field(spec: FamilySpec, name: str):
     elif not _integer(value):
         raise ParameterError(f"{spec.kind} requires an integer {name}, got {name}={value!r}")
     return value
-
-
-def _deg2_minimizer(n: int, t: int) -> FamilySpec:
-    """Minimizer over trees with exactly t degree-2 vertices (0 <= t <= n-4).
-
-    Split by the parity of n - t: odd lands in the F family (one degree-4
-    vertex), even in the C family (maximum degree 3).  The n - t = 5 case
-    is F(n, 0, 0).
-    """
-    m = n - t
-    if m % 2 == 1:
-        if m == 5:
-            return FamilySpec.f(n, 0, 0)
-        # a = ceil((m-5)/4) - 1, b = floor((m-5)/4) + 1 in integer form
-        return FamilySpec.f(n, (m - 2) // 4 - 1, (m - 5) // 4 + 1)
-    # a = ceil(m/4 - 1/2), b = floor(m/4 - 1/2) in integer form
-    return FamilySpec.c(n, (m + 1) // 4, (m - 2) // 4)
-
-
-def claimed_extremal(n: int, constraint: ConstraintSpec, direction: str) -> Optional[FamilySpec]:
-    """Family claimed to attain the optimum of the Mostar index.
-
-    Returns the family spec with parameters instantiated for order
-    ``n``, or ``None`` when no family is claimed for the given
-    constraint and direction.  ``direction`` is "max" or "min".
-    """
-    if direction not in ("max", "min"):
-        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
-    kind = constraint.kind
-
-    if kind == "unconstrained":
-        return FamilySpec.star(n) if direction == "max" else FamilySpec.path(n)
-
-    if kind == "odd_count":
-        count = constraint.value
-        k = count // 2
-        if direction == "max":
-            # Balanced spider with 2k legs; all-odd (2k = n) degenerates to the star.
-            return FamilySpec.star(n) if 2 * k == n else FamilySpec.spider(n, 2 * k)
-        return FamilySpec.c(n, k // 2, (k - 1) // 2)  # a = ceil((k-1)/2), b = floor((k-1)/2)
-
-    if kind == "all_odd":
-        if n % 2 == 1:
-            return None
-        return FamilySpec.star(n) if direction == "max" else FamilySpec.c(n, 0, n // 2 - 1)
-
-    if kind == "branch_count":
-        if direction == "min":
-            k = constraint.value
-            return FamilySpec.c(n, (k + 1) // 2, k // 2)  # a = ceil(k/2), b = floor(k/2)
-        return None
-
-    if kind == "deg2_count":
-        t = constraint.value
-        if t == n - 2:
-            return FamilySpec.path(n)
-        if t > n - 4:
-            return None  # t = n-3 is an empty class
-        if direction == "max":
-            return FamilySpec.spider(n, n - t - 1)
-        return _deg2_minimizer(n, t)
-
-    if kind == "series_reduced":
-        # Same classes as deg2_count with t = 0.
-        if direction == "max":
-            return FamilySpec.star(n)
-        return _deg2_minimizer(n, 0)
-
-    if kind == "pendent_path_count":
-        k, r = constraint.value, constraint.r
-        if direction == "max":
-            if r == 1:
-                # k pendent paths of length one = k leaves: the balanced spider.
-                return FamilySpec.spider(n, k) if 3 <= k <= n - 2 else None
-            return FamilySpec.srk(n, k, r) if _srk_in_range(n, k, r) else None
-        if k == 1 and 2 <= r <= n - 3:
-            # The broom: a long path with two extra leaves at one end.  Stated
-            # with legs (1, 2) but built as the mirror image (2, 1) so a >= b.
-            return FamilySpec.a_family(n, 1, 2, 1)
-        if k == 2 and 1 <= r <= n - 2:
-            return FamilySpec.path(n)
-        if k >= 3 and 1 <= r and k * r <= n - 2:
-            return FamilySpec.a_family(n, r, (k + 1) // 2, k // 2)
-        return None
-
-    return None

@@ -176,19 +176,14 @@ class Tree:
             index = operator.index  # numpy or other integer-like ids become Python ints
             try:
                 norm = tuple((index(u), index(v)) if u < v else (index(v), index(u)) for u, v in edges)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:  # a non-integer id or an edge not a pair
                 raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
             if len(norm) != n - 1:
                 raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
             self._edges = norm
             reached = len(_bfs(self._build_adj())[1])
         else:
-            if not isinstance(edges, (np.ndarray, list, tuple)):
-                try:
-                    edges = list(edges)
-                except TypeError as exc:
-                    raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
-            reached = self._orient(np.asarray(edges))
+            reached = self._orient(edges)
         if reached != n:
             raise ValueError("edges do not form a connected tree")
 
@@ -199,17 +194,17 @@ class Tree:
             n = self.n
             adj = [[] for _ in range(n)]
             for u, v in self.edges:
-                if u < 0 or v >= n:
-                    raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
-                if u == v:
-                    raise ValueError(f"loop edge at vertex {u}")
+                if u < 0 or v >= n or u == v:
+                    _reject_edge(u, v, n)
                 adj[u].append(v)
                 adj[v].append(u)
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 
-    def _orient(self, e: np.ndarray) -> int:
-        """Check the edge array and keep its BFS parents; returns vertices reached.
+    def _orient(self, edges) -> int:
+        """Check the edges as an array and keep its BFS parents; returns
+        vertices reached.  An array made here from ``edges`` is freed
+        before the search.
 
         ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0,
         and ``_parent[0] == n`` serves as the sentinel of the size pass.
@@ -218,22 +213,25 @@ class Tree:
         from scipy.sparse.csgraph import breadth_first_order
 
         n = self.n
+        try:
+            e = np.asarray(edges if isinstance(edges, (np.ndarray, list, tuple)) else list(edges))
+        except (TypeError, ValueError) as exc:  # e.g. edges of unequal lengths
+            raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
         count = len(e) if e.ndim else 0
         if count != n - 1:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
         if e.shape[1:] != (2,):
-            raise ValueError(f"edges must be pairs of integer ids, got array shape {e.shape}")
+            raise ValueError(f"edges must be pairs of integer ids: got array shape {e.shape}")
         if e.dtype.kind not in "iu":
-            raise ValueError(f"edge ids must be integers, got array dtype {e.dtype}")
+            raise ValueError(f"edges must be pairs of integer ids: got array dtype {e.dtype}")
         a, b = e.astype(np.int64, copy=False).T
         e = np.empty((n - 1, 2), dtype=np.int64)  # never the caller's array
         u = np.minimum(a, b, out=e[:, 0])
         v = np.maximum(a, b, out=e[:, 1])
         del a, b  # a temporary input array is freed before the search
-        if u.min() < 0 or v.max() >= n:
-            raise ValueError(f"edge ids outside 0..{n - 1}")
-        if (u == v).any():
-            raise ValueError("loop edge")
+        if u.min() < 0 or v.max() >= n or (u == v).any():
+            i = np.flatnonzero((u < 0) | (v >= n) | (u == v))[0]  # the first bad edge
+            _reject_edge(int(u[i]), int(v[i]), n)
         mat = coo_matrix((np.ones(n - 1, dtype=np.int8), (u, v)), shape=(n, n))
         order, parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
         parent[0] = n
@@ -295,6 +293,13 @@ class Tree:
         if self.n <= 12:
             return f"Tree(n={self.n}, edges={list(self.edges)})"
         return f"Tree(n={self.n}, <{self.n - 1} edges>)"
+
+
+def _reject_edge(u: int, v: int, n: int):
+    """Raise the one error for a normalized edge that is out of range or a loop."""
+    if u < 0 or v >= n:
+        raise ValueError(f"edge ({u}, {v}) uses ids outside 0..{n - 1}")
+    raise ValueError(f"loop edge at vertex {u}")
 
 
 # -- Mostar index --------------------------------------------------------------

@@ -6,6 +6,9 @@ optimum.  ``check_claim`` enumerates every isomorphism class in the
 constrained class at each order, finds the exact optimum and the full
 set of optimizers, and reports whether the claimed family is among
 them.  Uniqueness of the optimizer is recorded but never required.
+``claimed_extremal`` names the claimed family for a class and direction.
+Each instance yields one :class:`VerificationReport`, whose ``status``
+is its one verdict: invalid, empty, ok or fail.
 
 The registry covers:
 
@@ -45,7 +48,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .enumeration import ConstraintSpec, _batches, _check_cap, _Table
-from .families import FamilySpec, ParameterError, build, claimed_extremal
+from .families import FamilySpec, ParameterError, _srk_in_range, build
 from .tree import Tree, _spine, canonical_form, mostar_fast, stats
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "DegreeSequenceStructureReport",
     "REGISTRY",
     "claim_ids",
+    "claimed_extremal",
     "extremal_search",
     "check_claim",
     "check_degree_sequence_structure",
@@ -73,30 +77,39 @@ class VerificationReport:
     pass condition.  ``invalid`` is set (with the violated constraint)
     when the claimed family cannot even be built, and such instances do
     not count as failures of the mathematics, only of the parameters.
+    Every field after ``direction`` defaults to "not checked".
     """
 
     claim_id: str
     n: int
     params: dict
     direction: str
-    brute_value: Optional[int]
-    claimed_value: Optional[int]
-    value_match: Optional[bool]
-    claimed_in_class: Optional[bool]
-    claimed_is_argopt: Optional[bool]
-    argopt_unique: Optional[bool]
-    argopt_count: int
-    argopt_canonical_forms: tuple[str, ...]
-    claimed_family: Optional[str]
-    empty_class: bool
-    invalid: Optional[str]
-    millis: float
+    brute_value: Optional[int] = None
+    claimed_value: Optional[int] = None
+    value_match: Optional[bool] = None
+    claimed_in_class: Optional[bool] = None
+    claimed_is_argopt: Optional[bool] = None
+    argopt_unique: Optional[bool] = None
+    argopt_count: int = 0
+    argopt_canonical_forms: tuple[str, ...] = ()
+    claimed_family: Optional[str] = None
+    empty_class: bool = False
+    invalid: Optional[str] = None
+    millis: float = 0.0
+
+    @property
+    def status(self) -> str:
+        """``"invalid"``, ``"empty"``, ``"ok"`` or ``"fail"``, in that
+        precedence; invalid and empty instances checked nothing."""
+        if self.invalid is not None:
+            return "invalid"
+        if self.empty_class:
+            return "empty"
+        return "ok" if self.claimed_is_argopt else "fail"
 
     @property
     def passed(self) -> bool:
-        if self.invalid is not None or self.empty_class:
-            return True
-        return bool(self.claimed_is_argopt)
+        return self.status != "fail"
 
     def to_json_dict(self) -> dict:
         out = {k: v for k, v in vars(self).items()
@@ -151,8 +164,7 @@ def _verify_instance(
 ) -> VerificationReport:
     _table(n, cap)  # the order's shared table is filled outside the instance's time
     t0 = time.perf_counter()
-    claimed_tree = None
-    invalid = None
+    claimed_tree = invalid = None
     if family is None:
         invalid = "no family claimed for this instance"
     else:
@@ -161,41 +173,114 @@ def _verify_instance(
         except ParameterError as exc:
             invalid = str(exc)
     brute_value, argopt = extremal_search(n, constraint, direction, cap=cap)
-    empty = brute_value is None
     argopt_canons = tuple(canonical_form(t) for t in argopt)
-    claimed_value = None
-    value_match = None
-    claimed_in_class = None
-    claimed_is_argopt = None
-    if claimed_tree is not None and not empty:
-        claimed_value = mostar_fast(claimed_tree)[0]
-        claimed_in_class = constraint.matches(stats(claimed_tree))
-        value_match = claimed_value == brute_value
-        claimed_is_argopt = bool(
-            claimed_in_class and value_match and canonical_form(claimed_tree) in argopt_canons
-        )
-    millis = (time.perf_counter() - t0) * 1000.0
+    checked = {}
+    if brute_value is not None:
+        checked["argopt_unique"] = len(argopt) == 1
+        if claimed_tree is not None:
+            value = mostar_fast(claimed_tree)[0]
+            in_class = constraint.matches(stats(claimed_tree))
+            match = value == brute_value
+            checked.update(
+                claimed_value=value, value_match=match, claimed_in_class=in_class,
+                claimed_is_argopt=bool(in_class and match
+                                       and canonical_form(claimed_tree) in argopt_canons))
     return VerificationReport(
-        claim_id=claim_id,
-        n=n,
-        params=params,
-        direction=direction,
-        brute_value=brute_value,
-        claimed_value=claimed_value,
-        value_match=value_match,
-        claimed_in_class=claimed_in_class,
-        claimed_is_argopt=claimed_is_argopt,
-        argopt_unique=(len(argopt) == 1) if not empty else None,
-        argopt_count=len(argopt),
+        claim_id=claim_id, n=n, params=params, direction=direction,
+        brute_value=brute_value, argopt_count=len(argopt),
         argopt_canonical_forms=argopt_canons,
         claimed_family=family.to_text() if family is not None else None,
-        empty_class=empty,
-        invalid=invalid,
-        millis=millis,
-    )
+        empty_class=brute_value is None, invalid=invalid,
+        millis=(time.perf_counter() - t0) * 1000.0, **checked)
 
 
 # -- claim registry -------------------------------------------------------------
+
+
+def _deg2_minimizer(n: int, t: int) -> FamilySpec:
+    """Minimizer over trees with exactly t degree-2 vertices (0 <= t <= n-4).
+
+    Split by the parity of n - t: odd lands in the F family (one degree-4
+    vertex), even in the C family (maximum degree 3).  The n - t = 5 case
+    is F(n, 0, 0).
+    """
+    m = n - t
+    if m % 2 == 1:
+        if m == 5:
+            return FamilySpec.f(n, 0, 0)
+        # a = ceil((m-5)/4) - 1, b = floor((m-5)/4) + 1 in integer form
+        return FamilySpec.f(n, (m - 2) // 4 - 1, (m - 5) // 4 + 1)
+    # a = ceil(m/4 - 1/2), b = floor(m/4 - 1/2) in integer form
+    return FamilySpec.c(n, (m + 1) // 4, (m - 2) // 4)
+
+
+def claimed_extremal(n: int, constraint: ConstraintSpec, direction: str) -> Optional[FamilySpec]:
+    """Family claimed to attain the optimum of the Mostar index.
+
+    Returns the family spec with parameters instantiated for order
+    ``n``, or ``None`` when no family is claimed for the given
+    constraint and direction.  ``direction`` is "max" or "min".
+    """
+    if direction not in ("max", "min"):
+        raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    kind = constraint.kind
+
+    if kind == "unconstrained":
+        return FamilySpec.star(n) if direction == "max" else FamilySpec.path(n)
+
+    if kind == "odd_count":
+        count = constraint.value
+        k = count // 2
+        if direction == "max":
+            # Balanced spider with 2k legs; all-odd (2k = n) degenerates to the star.
+            return FamilySpec.star(n) if 2 * k == n else FamilySpec.spider(n, 2 * k)
+        return FamilySpec.c(n, k // 2, (k - 1) // 2)  # a = ceil((k-1)/2), b = floor((k-1)/2)
+
+    if kind == "all_odd":
+        if n % 2 == 1:
+            return None
+        return FamilySpec.star(n) if direction == "max" else FamilySpec.c(n, 0, n // 2 - 1)
+
+    if kind == "branch_count":
+        if direction == "min":
+            k = constraint.value
+            return FamilySpec.c(n, (k + 1) // 2, k // 2)  # a = ceil(k/2), b = floor(k/2)
+        return None
+
+    if kind == "deg2_count":
+        t = constraint.value
+        if t == n - 2:
+            return FamilySpec.path(n)
+        if t > n - 4:
+            return None  # t = n-3 is an empty class
+        if direction == "max":
+            return FamilySpec.spider(n, n - t - 1)
+        return _deg2_minimizer(n, t)
+
+    if kind == "series_reduced":
+        # Same classes as deg2_count with t = 0.
+        if direction == "max":
+            return FamilySpec.star(n)
+        return _deg2_minimizer(n, 0)
+
+    if kind == "pendent_path_count":
+        k, r = constraint.value, constraint.r
+        if direction == "max":
+            if r == 1:
+                # k pendent paths of length one = k leaves: the balanced spider.
+                return FamilySpec.spider(n, k) if 3 <= k <= n - 2 else None
+            return FamilySpec.srk(n, k, r) if _srk_in_range(n, k, r) else None
+        if k == 1 and 2 <= r <= n - 3:
+            # The broom: a long path with two extra leaves at one end.  Stated
+            # with legs (1, 2) but built as the mirror image (2, 1) so a >= b.
+            return FamilySpec.a_family(n, 1, 2, 1)
+        if k == 2 and 1 <= r <= n - 2:
+            return FamilySpec.path(n)
+        if k >= 3 and 1 <= r and k * r <= n - 2:
+            return FamilySpec.a_family(n, r, (k + 1) // 2, k // 2)
+        return None
+
+    return None
 
 
 @dataclass(frozen=True)
@@ -298,11 +383,8 @@ def _check_spider_monotonicity(claim_id: str, n: int, cap: Optional[int]) -> lis
         ok = mo[r] < mo[r + 1]
         reports.append(VerificationReport(
             claim_id=claim_id, n=n, params={"r": r}, direction="monotone",
-            brute_value=mo[r], claimed_value=mo[r + 1], value_match=ok,
-            claimed_in_class=None, claimed_is_argopt=ok, argopt_unique=None,
-            argopt_count=0, argopt_canonical_forms=(),
+            brute_value=mo[r], claimed_value=mo[r + 1], value_match=ok, claimed_is_argopt=ok,
             claimed_family=FamilySpec.spider(n, r + 1).to_text(),
-            empty_class=False, invalid=None,
             millis=(time.perf_counter() - t0) * 1000.0,
         ))
     return reports
@@ -367,11 +449,8 @@ def _check_degseq_claim(claim_id: str, n: int, cap: Optional[int]) -> list[Verif
         claim_id=claim_id, n=n,
         params={"sequences": summary.sequences_checked,
                 "violations": [",".join(map(str, v)) for v in summary.violations]},
-        direction="min", brute_value=None, claimed_value=None,
-        value_match=None, claimed_in_class=None,
-        claimed_is_argopt=summary.ok, argopt_unique=None, argopt_count=0,
-        argopt_canonical_forms=(), claimed_family=None,
-        empty_class=(summary.sequences_checked == 0), invalid=None, millis=millis,
+        direction="min", claimed_is_argopt=summary.ok,
+        empty_class=summary.sequences_checked == 0, millis=millis,
     )]
 
 
@@ -428,7 +507,7 @@ def check_claim(
 
 
 def failed_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
-    return [r for r in reports if not r.passed]
+    return [r for r in reports if r.status == "fail"]
 
 
 def reports_to_json_obj(reports: Iterable[VerificationReport]):

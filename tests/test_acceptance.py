@@ -37,7 +37,6 @@ from mostar import (
     prufer_to_edges,
     psi_edge,
     random_tree,
-    stats,
 )
 from mostar.transforms import (
     attach_two_paths,
@@ -46,6 +45,7 @@ from mostar.transforms import (
     shift_branch_to_end,
 )
 from mostar.verify import failed_reports
+from tree_helpers import diametral_paths, non_pendent_edges
 
 
 def mo(t):
@@ -89,39 +89,6 @@ def test_criterion_2_closed_forms():
     report("criterion 2 (closed forms)", 5, time.perf_counter() - t0, True, "n = 2..100")
 
 
-def _diametral_paths(t):
-    """Every path realizing the diameter, one per ordered endpoint pair
-    (a, b) in row-major order, a first: one search per source a."""
-    from mostar.tree import _bfs, _climb
-
-    d = stats(t).diameter
-    paths = []
-    for a in range(t.n):
-        parent, order = _bfs(t.adj, a)
-        depth = [0] * t.n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        paths += [_climb(parent, b)[::-1] for b in range(t.n) if depth[b] == d and b != a]
-    return paths
-
-
-def test_diametral_paths_match_the_pairwise_definition():
-    from mostar.tree import _path
-
-    rng = random.Random(20220722)
-    trees = [t for n in range(2, 10) for t in all_trees(n)]
-    trees += [random_tree(rng.randint(5, 40), rng.randrange(2**63)) for _ in range(200)]
-    for t in trees:
-        d = stats(t).diameter
-        pairwise = [_path(t.adj, a, b) for a in range(t.n) for b in range(t.n)
-                    if a != b and len(_path(t.adj, a, b)) - 1 == d]
-        assert _diametral_paths(t) == pairwise, t.edges
-
-
-def _non_pendent_edges(t):
-    return [e for e in t.edges if t.degree(e[0]) > 1 and t.degree(e[1]) > 1]
-
-
 def test_criterion_3_structural_inequalities():
     t0 = time.perf_counter()
     small = [(n, t) for n in range(2, 10) for t in all_trees(n)]
@@ -135,13 +102,13 @@ def test_criterion_3_structural_inequalities():
     # contraction: strictly increases on every non-pendent edge
     exhaustive = 0
     for n, t in small:
-        for e in _non_pendent_edges(t):
+        for e in non_pendent_edges(t):
             assert mo(contract_with_pendant(t, e)) > mo(t), (t.edges, e)
             exhaustive += 1
     randomized = 0
     while randomized < 1000:
         t = random_tree(rng.randint(4, 40), rng.randrange(2**63))
-        edges = _non_pendent_edges(t)
+        edges = non_pendent_edges(t)
         if edges:
             assert mo(contract_with_pendant(t, edges[rng.randrange(len(edges))])) > mo(t)
             randomized += 1
@@ -217,7 +184,7 @@ def test_criterion_3_structural_inequalities():
     # branch shift: strictly decreases whenever the size hypothesis holds
     exhaustive = 0
     for n, t in small:
-        for path in _diametral_paths(t):
+        for path in diametral_paths(t):
             for i in range(1, len(path) - 1):
                 on = {path[i - 1], path[i + 1]}
                 off = [w for w in t.adj[path[i]] if w not in on]
@@ -230,7 +197,7 @@ def test_criterion_3_structural_inequalities():
     randomized = 0
     while randomized < 1000:
         t = random_tree(rng.randint(5, 40), rng.randrange(2**63))
-        paths = _diametral_paths(t)
+        paths = diametral_paths(t)
         path = paths[rng.randrange(len(paths))]
         candidates = [i for i in range(1, len(path) - 1) if t.degree(path[i]) > 2]
         if not candidates:

@@ -11,6 +11,7 @@ from mostar import (
     Tree,
     all_trees,
     build,
+    check_claim,
     is_isomorphic,
     mostar_bfs,
     mostar_fast,
@@ -339,6 +340,17 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--n-min", "10", "--n-max", "5")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "empty order range" in err
+
+    @pytest.mark.parametrize("claim, n_min, n_max", [("T3.4", 5, 5), ("C2.7", 2, 3)])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_instances_exits_2(self, capsys, claim, n_min, n_max, fmt):
+        # no all-odd class at odd n, no pair of spiders below n = 4:
+        # a range that checks nothing is not a success
+        code, out, err = run(capsys, "verify", "--claim", claim, "--n-min", str(n_min),
+                             "--n-max", str(n_max), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and claim in err and f"{n_min}..{n_max}" in err
+        assert check_claim(claim, n_min, n_max) == []
 
     def test_status_counts_on_stderr(self, capsys):
         code, out, err = run(capsys, "verify", "--claim", "T2.1",

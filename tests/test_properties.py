@@ -52,11 +52,13 @@ def relabeled_trees(draw):
 
 @st.composite
 def defective_trees(draw):
-    """(n, edges): a drawn tree with one defect that no tree on n vertices has."""
+    """(defect, n, edges): a drawn tree with one defect that no tree on n
+    vertices has."""
     n, edges = draw(relabeled_trees())
     i = draw(st.integers(0, n - 2))
     u, v = edges[i]
-    defect = draw(st.sampled_from(["range", "loop", "duplicate", "missing", "extra", "type"]))
+    defect = draw(st.sampled_from(
+        ["range", "loop", "duplicate", "missing", "extra", "type", "pair"]))
     if defect == "range":
         edges[i] = (u, draw(st.sampled_from([-1, n, n + 7])))
     elif defect == "loop":
@@ -70,19 +72,30 @@ def defective_trees(draw):
         del edges[i]
     elif defect == "extra":
         edges.append((u, draw(st.integers(0, n - 1))))
-    else:
+    elif defect == "type":
         edges[i] = (u, draw(st.sampled_from([0.5, 1.0, "1", None])))
-    return n, edges
+    else:
+        edges[i] = draw(st.sampled_from([(u,), (u, v, v)]))
+    return defect, n, edges
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(defective_trees())
 def test_bad_edges_rejected_in_both_regimes(case):
-    """One defect is a ValueError on the pure-Python and the array path alike."""
-    n, edges = case
+    """One defect is the same ValueError on the pure-Python and the array
+    path; for a non-integer id or a non-pair edge, the same up to the
+    reason the parser gave."""
+    defect, n, edges = case
+    messages = set()
     for small_n in (SMALL_N, 1, 10**7):
-        with mock.patch.object(tree_mod, "_SMALL_N", small_n), pytest.raises(ValueError):
+        with mock.patch.object(tree_mod, "_SMALL_N", small_n), \
+                pytest.raises(ValueError) as exc:
             Tree(n, edges)
+        messages.add(str(exc.value))
+    if defect in ("type", "pair"):
+        assert all(m.startswith("edges must be pairs of integer ids: ") for m in messages)
+    else:
+        assert len(messages) == 1, messages
 
 
 @settings(max_examples=40, deadline=None, database=None)

@@ -31,38 +31,23 @@ from mostar.transforms import (
     relocate_pendant,
     shift_branch_to_end,
 )
+from tree_helpers import diametral_paths, non_pendent_edges
 
 
 def mo(t):
     return mostar_fast(t)[0]
 
 
-def non_pendent_edges(t):
-    return [e for e in t.edges if t.degree(e[0]) > 1 and t.degree(e[1]) > 1]
-
-
-def diametral_paths(t):
-    """Every path realizing the diameter, one per ordered endpoint pair
-    (a, b) in row-major order, a first: one search per source a."""
-    from mostar.tree import _bfs, _climb
-
-    d = stats(t).diameter
-    paths = []
-    for a in range(t.n):
-        parent, order = _bfs(t.adj, a)
-        depth = [0] * t.n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        paths += [_climb(parent, b)[::-1] for b in range(t.n) if depth[b] == d and b != a]
-    return paths
-
-
-def test_diametral_paths_match_the_pairwise_definition():
+@pytest.mark.parametrize("orders, randoms, seed, seed_bound", [
+    (range(2, 10), 200, 20220722, 2**63),
+    (range(4, 9), 100, 3, 10**9),
+], ids=["n2-9_seed20220722", "n4-8_seed3"])
+def test_diametral_paths_match_the_pairwise_definition(orders, randoms, seed, seed_bound):
     from mostar.tree import _path
 
-    rng = random.Random(3)
-    trees = [t for n in range(4, 9) for t in all_trees(n)]
-    trees += [random_tree(rng.randint(5, 40), rng.randrange(10**9)) for _ in range(100)]
+    rng = random.Random(seed)
+    trees = [t for n in orders for t in all_trees(n)]
+    trees += [random_tree(rng.randint(5, 40), rng.randrange(seed_bound)) for _ in range(randoms)]
     for t in trees:
         d = stats(t).diameter
         pairwise = [_path(t.adj, a, b) for a in range(t.n) for b in range(t.n)

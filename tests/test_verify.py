@@ -27,6 +27,7 @@ from mostar import (
 from mostar.cli import main
 from mostar.verify import (
     REGISTRY,
+    VerificationReport,
     _records,
     failed_reports,
     reports_to_csv,
@@ -186,6 +187,20 @@ class TestClaims:
         for n in range(5, 15):
             value, argopt = extremal_search(n, ConstraintSpec.deg2_count(n - 3), "min")
             assert value is None and argopt == []
+
+
+class TestReportStatus:
+    def test_one_status_per_report_from_the_defaults(self):
+        head = {"claim_id": "T2.1", "n": 5, "params": {}, "direction": "max"}
+        reports = {
+            "invalid": VerificationReport(**head, invalid="no family", empty_class=True),
+            "empty": VerificationReport(**head, empty_class=True),
+            "ok": VerificationReport(**head, claimed_is_argopt=True),
+            "fail": VerificationReport(**head),
+        }
+        assert {want: r.status for want, r in reports.items()} == {s: s for s in reports}
+        assert [s for s, r in reports.items() if r.passed] == ["invalid", "empty", "ok"]
+        assert failed_reports(reports.values()) == [reports["fail"]]
 
 
 class TestDegreeSequenceStructure:
