@@ -139,8 +139,9 @@ class ConstraintSpec:
         if kind == "pendent_path_count":
             count = st.maximal_runs(self.r) if self.maximal else st.pendent_paths(self.r)
             return count == self.value
-        if kind == "degree_sequence":
-            return st.degree_sequence == self.degree_sequence_value
+        if kind == "degree_sequence":  # a sequence of the wrong length matches nothing
+            have, want = st.degree_sequence, self.degree_sequence_value
+            return np.shape(have)[-1] == len(want) and np.all(np.equal(have, want), axis=-1)
         raise ValueError(f"unknown constraint kind {kind!r}")
 
     def describe(self) -> str:
@@ -162,9 +163,15 @@ class ConstraintSpec:
         return "unconstrained"
 
 
+# The largest order whose search table fits its int8 columns.
+_MAX_ORDER = np.iinfo(np.int8).max
+
+
 def _check_cap(n: int, cap: Optional[int]) -> None:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if n > _MAX_ORDER:
+        raise ValueError(f"order {n} exceeds {_MAX_ORDER}, the largest order the search table holds")
     effective = DEFAULT_CAP if cap is None else cap
     if n > effective:
         raise EnumerationCapError(
@@ -258,23 +265,13 @@ def _batches(n: int) -> Iterator[np.ndarray]:
         yield np.frombuffer(rows, np.uint8).reshape(-1, n)
 
 
-class _DegreeGroups:
-    """Sorted degree sequences ``keys`` and each row's index ``ids``."""
-
-    def __init__(self, degrees: np.ndarray):
-        keys, ids = np.unique(-np.sort(-degrees, axis=1), axis=0, return_inverse=True)
-        self.keys, self.ids = [tuple(k) for k in keys.tolist()], ids.reshape(-1).astype(np.int16)
-
-    def __eq__(self, seq):
-        return self.ids == (self.keys.index(seq) if seq in self.keys else -1)
-
-
 class _Table:
     """Search columns of a (rows, n) matrix of level sequences, one row
     per class, in int8 or int16: ``parent`` (-1 at the root) and
-    ``degrees``, built with the table, and ``mo``, ``runs`` (each leaf's
-    pendant run, else 0) and the four vertex counts, each built on its
-    first read.  Counts and methods carry TreeStats' names, so
+    ``degrees``, built with the table; ``mo``, ``runs`` (each leaf's
+    pendant run, else 0) and the four vertex counts, built on first
+    read; and ``degree_sequence``, each row's degrees non-increasing,
+    sorted on every read.  All carry TreeStats' names and shapes, so
     ``ConstraintSpec._where`` reads a table as it reads one tree.  Each
     loop steps over the positions, all rows at once."""
 
@@ -339,9 +336,9 @@ class _Table:
     def leaf_count(self) -> np.ndarray:
         return self._count(self.degrees == 1)
 
-    @cached_property
-    def degree_sequence(self) -> _DegreeGroups:
-        return _DegreeGroups(self.degrees)
+    @property
+    def degree_sequence(self) -> np.ndarray:
+        return np.sort(self.degrees, axis=1)[:, ::-1]
 
     def pendent_paths(self, r: int) -> np.ndarray:
         return np.count_nonzero(self.runs >= r, axis=1)

@@ -426,22 +426,30 @@ def check_degree_sequence_structure(n: int, cap: Optional[int] = None) -> Degree
     caterpillar whose spine degrees (in path order) first decrease and
     then increase.
     """
-    if n < 2:
+    table = _table(n, cap)  # rejects an order below 1 or above the cap
+    if n == 1:
         return DegreeSequenceStructureReport(n=n, sequences_checked=0, violations=())
-    sequences = _table(n, cap).degree_sequence.keys
+    sequences, mo = table.degree_sequence, table.mo
+    order = np.lexsort((mo, *sequences.T[::-1]))  # by sequence, then by Mo
+    head = np.zeros(len(order), bool)  # the first row of each sequence's run
+    head[0] = True
+    for column in sequences.T:
+        column = column[order]
+        head[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(head).tolist()
     violations = []
-    for seq in sequences:
-        _, minimizers = extremal_search(n, ConstraintSpec.degree_sequence(seq), "min", cap=cap)
+    for start, stop in zip(starts, starts[1:] + [len(order)]):
+        run = order[start:stop]
+        minimizers = run[mo[run] == mo[run[0]]].tolist()  # the least Mo heads the run
         if not any(spine is not None and _is_valley(spine)
-                   for spine in map(_spine_degree_path, minimizers)):
-            violations.append(seq)
+                   for spine in (_spine_degree_path(table.tree(row)) for row in minimizers)):
+            violations.append(tuple(sequences[run[0]].tolist()))
     return DegreeSequenceStructureReport(
-        n=n, sequences_checked=len(sequences), violations=tuple(sorted(violations)))
+        n=n, sequences_checked=len(starts), violations=tuple(sorted(violations)))
 
 
 def _check_degseq_claim(claim_id: str, n: int, cap: Optional[int]) -> list[VerificationReport]:
-    if n >= 2:
-        _table(n, cap)  # filled outside the check's time, as for every instance
+    _table(n, cap)  # filled outside the check's time, as for every instance
     t0 = time.perf_counter()
     summary = check_degree_sequence_structure(n, cap=cap)
     millis = (time.perf_counter() - t0) * 1000.0
@@ -500,6 +508,8 @@ def check_claim(
     if claim_id not in REGISTRY:
         raise KeyError(f"unknown claim {claim_id!r}; known: {', '.join(REGISTRY)}")
     claim = REGISTRY[claim_id]
+    if n_min < 1 and n_min <= n_max:
+        raise ValueError(f"order must be >= 1, got {n_min}")
     reports = []
     for n in range(n_min, n_max + 1):
         reports.extend(claim.check(n, cap=cap, maximal_census=maximal_census))

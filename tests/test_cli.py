@@ -12,6 +12,7 @@ from mostar import (
     all_trees,
     build,
     check_claim,
+    claim_ids,
     is_isomorphic,
     mostar_bfs,
     mostar_fast,
@@ -185,6 +186,12 @@ class TestEnumerate:
         _, window, _ = run(capsys, "enumerate", "--n", "7", "--offset", "3", "--limit", "2")
         assert window.splitlines() == full.splitlines()[3:5]
 
+    @pytest.mark.parametrize("n", [128, 129])
+    def test_orders_above_127_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "enumerate", "--n", str(n), "--cap", "200", "--limit", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "127" in err
+
     @pytest.mark.parametrize("flag", ["--offset", "--limit"])
     def test_negative_window_exits_2(self, capsys, flag):
         code, out, err = run(capsys, "enumerate", "--n", "7", flag, "-1")
@@ -351,6 +358,17 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and claim in err and f"{n_min}..{n_max}" in err
         assert check_claim(claim, n_min, n_max) == []
+
+    @pytest.mark.parametrize("claim", [*claim_ids(), "all"])
+    def test_orders_below_1_exit_2(self, capsys, claim):
+        code, out, err = run(capsys, "verify", "--claim", claim, "--n-min", "0", "--n-max", "3")
+        assert (code, out, err) == (2, "", "error: order must be >= 1, got 0\n")
+
+    def test_orders_above_127_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--claim", "LDL-min-degseq",
+                             "--n-min", "128", "--n-max", "128", "--cap", "200")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "127" in err
 
     def test_status_counts_on_stderr(self, capsys):
         code, out, err = run(capsys, "verify", "--claim", "T2.1",

@@ -21,9 +21,12 @@ import mostar.tree as tree_mod
 from mostar import (
     ConstraintSpec,
     EnumerationCapError,
+    FamilySpec,
     Tree,
     all_trees,
+    build,
     canonical_form,
+    extremal_search,
     is_isomorphic,
     mostar_fast,
     prufer_to_edges,
@@ -94,6 +97,17 @@ class TestAllTrees:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             next(all_trees(0))
+
+    @pytest.mark.parametrize("n", [128, 129])
+    @pytest.mark.parametrize("cap", [None, 18, 128, 200])
+    def test_orders_above_127_are_rejected_whatever_the_cap(self, n, cap):
+        # the int8 columns would wrap: at 128 a path's pendent paths read 0
+        for search in (lambda: next(trees_satisfying(n, ConstraintSpec.pendent_path_count(2, 1), cap)),
+                       lambda: next(all_trees(n, cap)),
+                       lambda: extremal_search(n, ConstraintSpec.unconstrained(), "min", cap)):
+            with pytest.raises(ValueError, match="127") as exc:
+                search()
+            assert type(exc.value) is ValueError
 
     def test_deterministic_order(self):
         a = [t.edges for t in all_trees(9)]
@@ -243,6 +257,7 @@ class TestTreesSatisfying:
         ConstraintSpec.series_reduced(), ConstraintSpec.all_odd(),
         ConstraintSpec.pendent_path_count(2, 2), ConstraintSpec.pendent_path_count(2, 2, maximal=True),
         ConstraintSpec.pendent_path_count(3, 1), ConstraintSpec.degree_sequence([3, 3, 2, 1, 1, 1, 1]),
+        ConstraintSpec.degree_sequence([2, 1, 1]),  # of order 3 only: a wrong length elsewhere
     ], ids=lambda c: c.describe())
     def test_filtered_stream_equals_the_per_tree_filter(self, constraint):
         for n in range(1, 12):
@@ -274,8 +289,7 @@ def assert_rows_are(table, pairs, same_labels=True):
         assert (table.odd_count[row], table.deg2_count[row], table.branch_count[row],
                 table.leaf_count[row]) == (want.odd_count, want.deg2_count, want.branch_count,
                                            want.leaf_count)
-        groups = table.degree_sequence
-        assert groups.keys[groups.ids[row]] == want.degree_sequence
+        assert tuple(table.degree_sequence[row].tolist()) == want.degree_sequence
         runs = [int(table.runs[row, v]) for v in range(n) if table.degrees[row, v] == 1]
         assert runs == tree_mod._pendant_runs(table.tree(row))
         assert sorted(runs) == sorted(tree_mod._pendant_runs(t))
@@ -284,6 +298,16 @@ def assert_rows_are(table, pairs, same_labels=True):
 
 
 class TestSearchTable:
+    def test_columns_hold_order_127(self):
+        # the star holds the largest degree and Mo, the path the longest runs
+        n = 127
+        star = _Table(np.array([[0] + [1] * (n - 1)], np.uint8))
+        assert_rows_are(star, [(0, build(FamilySpec.star(n)))], same_labels=False)
+        table = _Table(next(_batches(n)))
+        assert_rows_are(table, [(0, build(FamilySpec.path(n)))], same_labels=False)
+        assert_rows_are(table, ((row, table.tree(row)) for row in (1, 2, 500, len(table.mo) - 1)))
+        assert table.select(ConstraintSpec.pendent_path_count(2, 1))[0] == 0
+
     def test_every_class_to_14(self):
         for n in range(1, 15):
             table = _records(n)

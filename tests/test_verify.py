@@ -117,6 +117,12 @@ class TestClaims:
         with pytest.raises(KeyError):
             check_claim("T9.9", 5, 6)
 
+    @pytest.mark.parametrize("cid", claim_ids())
+    @pytest.mark.parametrize("n_min, n_max", [(0, 4), (-2, 2), (-3, -1)])
+    def test_orders_below_1_are_rejected(self, cid, n_min, n_max):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n_min}$"):
+            check_claim(cid, n_min, n_max)
+
     def test_t31_instance(self):
         reports = check_claim("T3.1", 8, 8)
         by_k = {r.params["k"]: r for r in reports}
@@ -203,7 +209,49 @@ class TestReportStatus:
         assert failed_reports(reports.values()) == [reports["fail"]]
 
 
+def partitions(m, largest=None):
+    """Each partition of m into positive parts, as a non-increasing tuple."""
+    largest = m if largest is None else largest
+    if m == 0:
+        yield ()
+    for first in range(min(m, largest), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first, *rest)
+
+
+def tree_degree_sequences(n):
+    """The degree sequences of trees of order n >= 2, sorted: the n
+    degrees less one are a partition of n - 2 padded with zeros, and each
+    such sequence is realized by a caterpillar."""
+    return sorted(tuple(part + 1 for part in p + (0,) * (n - len(p))) for p in partitions(n - 2))
+
+
 class TestDegreeSequenceStructure:
+    def test_checks_every_sequence_of_orders_2_to_16(self):
+        counts = [len(tree_degree_sequences(n)) for n in range(2, 17)]
+        assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]  # p(n - 2)
+        for n, count in zip(range(2, 17), counts):
+            report = check_degree_sequence_structure(n)
+            assert (report.n, report.sequences_checked, report.violations) == (n, count, ()), n
+
+    def test_a_sequence_with_no_valley_minimizer_is_a_violation(self):
+        with mock.patch.object(mostar.verify, "_is_valley", return_value=False):
+            for n in range(2, 13):
+                report = check_degree_sequence_structure(n)
+                assert report.violations == tuple(tree_degree_sequences(n)), n
+                assert not report.ok
+
+    def test_one_sort_and_no_search(self):
+        with mock.patch.object(mostar.verify, "extremal_search") as search, \
+                mock.patch.object(ConstraintSpec, "degree_sequence") as constraint:
+            assert check_degree_sequence_structure(12).ok
+        assert search.call_count == constraint.call_count == 0
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_orders_below_1_are_rejected(self, n):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {n}"):
+            check_degree_sequence_structure(n)
+
     def test_n7_all_sequences_pass(self):
         report = check_degree_sequence_structure(7)
         assert report.ok and report.sequences_checked > 0
