@@ -301,6 +301,19 @@ class TestTransformCommand:
         assert "Mo before = 80" in out and "Mo after  = 76" in out
 
 
+    @pytest.mark.parametrize("shape, argv, line", [
+        (4, ["contract", "--edge", "0,1"],
+         "error: edge (0, 1) is pendent; contraction requires a non-pendent edge"),
+        (5, ["rebalance", "--at", "99", "--long", "1", "--short", "1"],
+         "error: vertex ids [99] outside 0..4"),
+    ], ids=["HypothesisError", "ValueError"])
+    def test_error_is_one_stderr_line_and_exit_2(self, capsys, tmp_path, shape, argv, line):
+        f = tmp_path / "p.txt"
+        write_edge_list(build(FamilySpec.path(shape)), f)
+        name, *opts = argv
+        code, out, err = run(capsys, "transform", name, str(f), *opts)
+        assert (code, out, err.splitlines()) == (2, "", [line])
+
     @pytest.mark.parametrize("vertex", ["99", "-1"])
     @pytest.mark.parametrize("argv", [
         ["contract", "--edge=0,{v}"],

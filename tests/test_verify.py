@@ -117,6 +117,22 @@ class TestClaims:
         with pytest.raises(KeyError):
             check_claim("T9.9", 5, 6)
 
+    def test_instance_grids_frozen_to_20(self):
+        # every (params, constraint, direction) triple of every claim with
+        # instances, at orders 1..20, in the order the registry yields them
+        digest, count = hashlib.sha256(), 0
+        for cid, claim in REGISTRY.items():
+            if claim.instances is None:
+                continue
+            for n in range(1, 21):
+                for params, c, direction in claim.instances(n):
+                    digest.update(repr((cid, n, tuple(params.items()), c.kind, c.value, c.r,
+                                        c.maximal, direction)).encode() + b"\n")
+                    count += 1
+        assert count == 1631
+        assert digest.hexdigest() == (
+            "a15bb347926398da38605b9833a7add141e4966b4177d6aa17ad764ed2457f06")
+
     @pytest.mark.parametrize("cid", claim_ids())
     @pytest.mark.parametrize("n_min, n_max", [(0, 4), (-2, 2), (-3, -1)])
     def test_orders_below_1_are_rejected(self, cid, n_min, n_max):
