@@ -287,8 +287,8 @@ def claimed_extremal(n: int, constraint: ConstraintSpec, direction: str) -> Opti
 class TheoremClaim:
     id: str
     summary: str
-    # instance generator: n -> iterable of (params, constraint, direction)
-    instances: Optional[Callable[[int], Iterable[tuple[dict, ConstraintSpec, str]]]] = None
+    # instance generator: (n, maximal=False) -> iterable of (params, constraint, direction)
+    instances: Optional[Callable[..., Iterable[tuple[dict, ConstraintSpec, str]]]] = None
     # special checks (monotonicity, degree-sequence structure) bypass instances
     custom_check: Optional[Callable[..., list]] = None
 
@@ -296,80 +296,74 @@ class TheoremClaim:
         if self.custom_check is not None:
             return self.custom_check(self.id, n, cap)
         reports = []
-        for params, constraint, direction in self.instances(n):
-            if maximal_census and constraint.kind == "pendent_path_count":
-                constraint = ConstraintSpec.pendent_path_count(
-                    constraint.value, constraint.r, maximal=True)
+        for params, constraint, direction in self.instances(n, maximal_census):
             family = claimed_extremal(n, constraint, direction)
             reports.append(
                 _verify_instance(self.id, n, params, constraint, direction, family, cap))
         return reports
 
 
-def _instances_t21(n):
-    if n < 2:
-        return
-    yield {}, ConstraintSpec.unconstrained(), "max"
-    yield {}, ConstraintSpec.unconstrained(), "min"
+def _each(grid, *directions):
+    """A claim's instances: each ``(params, constraint)`` of ``grid(n, maximal)``
+    in each direction.  Only the pendent-path grids read ``maximal``."""
+    def instances(n: int, maximal: bool = False):
+        for params, constraint in grid(n, maximal):
+            for direction in directions:
+                yield params, constraint, direction
+    return instances
 
 
-def _instances_t26(n):
+def _all(n, maximal):
+    if n >= 2:
+        yield {}, ConstraintSpec.unconstrained()
+
+
+def _leaves(n, maximal):
     for r in range(3, n - 1):
-        yield {"r": r}, ConstraintSpec.pendent_path_count(r, 1), "max"
+        yield {"r": r}, ConstraintSpec.pendent_path_count(r, 1, maximal)
 
 
-def _instances_t31(n):
+def _odd(n, maximal):
     for k in range(1, n // 2 + 1):
-        yield {"k": k}, ConstraintSpec.odd_count(2 * k), "max"
+        yield {"k": k}, ConstraintSpec.odd_count(2 * k)
 
 
-def _instances_t32(n):
-    for k in range(1, n // 2 + 1):
-        yield {"k": k}, ConstraintSpec.odd_count(2 * k), "min"
-
-
-def _instances_c33(n):
+def _branch(n, maximal):
     for k in range(0, (n - 2) // 2 + 1):
-        yield {"k": k}, ConstraintSpec.branch_count(k), "min"
+        yield {"k": k}, ConstraintSpec.branch_count(k)
 
 
-def _instances_t34(n):
+def _all_odd(n, maximal):
     if n % 2 == 0:
-        yield {}, ConstraintSpec.all_odd(), "max"
-        yield {}, ConstraintSpec.all_odd(), "min"
+        yield {}, ConstraintSpec.all_odd()
 
 
-def _instances_t41(n):
+def _deg2(n, maximal):
     for t in range(0, n - 3):
-        yield {"t": t}, ConstraintSpec.deg2_count(t), "max"
+        yield {"t": t}, ConstraintSpec.deg2_count(t)
 
 
-def _instances_t43(n):
-    for t in range(0, n - 3):
-        yield {"t": t}, ConstraintSpec.deg2_count(t), "min"
-
-
-def _instances_c44(n):
+def _series_reduced(n, maximal):
     if n >= 5:
-        yield {}, ConstraintSpec.series_reduced(), "min"
+        yield {}, ConstraintSpec.series_reduced()
 
 
-def _instances_t51(n):
+def _spider_paths(n, maximal):
     for r in range(2, n - 2):
-        yield {"k": 1, "r": r}, ConstraintSpec.pendent_path_count(1, r), "max"
+        yield {"k": 1, "r": r}, ConstraintSpec.pendent_path_count(1, r, maximal)
     for k in range(2, (n - 2) // 2 + 1):
         for r in range(2, (n - 2) // k + 1):
-            yield {"k": k, "r": r}, ConstraintSpec.pendent_path_count(k, r), "max"
+            yield {"k": k, "r": r}, ConstraintSpec.pendent_path_count(k, r, maximal)
 
 
-def _instances_t53(n):
+def _path_like(n, maximal):
     for r in range(2, n - 2):
-        yield {"k": 1, "r": r}, ConstraintSpec.pendent_path_count(1, r), "min"
+        yield {"k": 1, "r": r}, ConstraintSpec.pendent_path_count(1, r, maximal)
     for r in range(1, n - 1):
-        yield {"k": 2, "r": r}, ConstraintSpec.pendent_path_count(2, r), "min"
+        yield {"k": 2, "r": r}, ConstraintSpec.pendent_path_count(2, r, maximal)
     for k in range(3, n - 1):
         for r in range(1, (n - 2) // k + 1):
-            yield {"k": k, "r": r}, ConstraintSpec.pendent_path_count(k, r), "min"
+            yield {"k": k, "r": r}, ConstraintSpec.pendent_path_count(k, r, maximal)
 
 
 def _check_spider_monotonicity(claim_id: str, n: int, cap: Optional[int]) -> list[VerificationReport]:
@@ -465,28 +459,28 @@ def _check_degseq_claim(claim_id: str, n: int, cap: Optional[int]) -> list[Verif
 REGISTRY: dict[str, TheoremClaim] = {
     c.id: c
     for c in (
-        TheoremClaim("T2.1", "star maximizes and path minimizes over all trees", _instances_t21),
-        TheoremClaim("T2.6", "balanced spider maximizes over trees with r leaves", _instances_t26),
+        TheoremClaim("T2.1", "star maximizes and path minimizes over all trees", _each(_all, "max", "min")),
+        TheoremClaim("T2.6", "balanced spider maximizes over trees with r leaves", _each(_leaves, "max")),
         TheoremClaim("C2.7", "spider index strictly increases with the leg count",
                custom_check=_check_spider_monotonicity),
         TheoremClaim("T3.1", "spider with 2k legs maximizes over trees with 2k odd vertices",
-               _instances_t31),
+               _each(_odd, "max")),
         TheoremClaim("T3.2", "near-balanced C caterpillar minimizes over trees with 2k odd vertices",
-               _instances_t32),
+               _each(_odd, "min")),
         TheoremClaim("C3.3", "near-balanced C caterpillar minimizes over trees with k branch vertices",
-               _instances_c33),
+               _each(_branch, "min")),
         TheoremClaim("T3.4", "star maximizes and full comb minimizes over all-odd trees",
-               _instances_t34),
+               _each(_all_odd, "max", "min")),
         TheoremClaim("T4.1", "spider with n-t-1 legs maximizes over trees with t degree-2 vertices",
-               _instances_t41),
+               _each(_deg2, "max")),
         TheoremClaim("T4.3", "C or F family (by parity of n-t) minimizes over trees with t "
-               "degree-2 vertices", _instances_t43),
+               "degree-2 vertices", _each(_deg2, "min")),
         TheoremClaim("C4.4", "C or F family (by parity of n) minimizes over series-reduced trees",
-               _instances_c44),
+               _each(_series_reduced, "min")),
         TheoremClaim("T5.1", "spider of k length-r paths plus pendants maximizes over trees with "
-               "k pendent paths of length r", _instances_t51),
+               "k pendent paths of length r", _each(_spider_paths, "max")),
         TheoremClaim("T5.3", "path-like A family minimizes over trees with k pendent paths of "
-               "length r", _instances_t53),
+               "length r", _each(_path_like, "min")),
         TheoremClaim("LDL-min-degseq", "a fixed-degree-sequence minimizer is a valley-spine "
                "caterpillar", custom_check=_check_degseq_claim),
     )
