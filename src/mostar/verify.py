@@ -32,8 +32,11 @@ LDL-min-degseq
         caterpillar whose spine degrees decrease then increase
 ======  ==========================================================
 
-Searches share one cached table of columns per order, read off the
-level sequences, and build a tree only for each optimizer.
+Each claim with instances checks every class of a shared grid in its
+directions.  ``maximal_census`` re-reads the pendent-path claims T5.1 and
+T5.3 only; T2.6 counts leaves under either reading.  Searches share one
+cached table of columns per order, read off the level sequences, and
+build a tree only for each optimizer.
 """
 
 from __future__ import annotations
@@ -319,8 +322,9 @@ def _all(n, maximal):
 
 
 def _leaves(n, maximal):
+    # r leaves are r pendent paths of length 1 under either census
     for r in range(3, n - 1):
-        yield {"r": r}, ConstraintSpec.pendent_path_count(r, 1, maximal)
+        yield {"r": r}, ConstraintSpec.pendent_path_count(r, 1)
 
 
 def _odd(n, maximal):

@@ -198,6 +198,27 @@ class TestClaims:
         reports = check_claim("T5.1", 7, 7, maximal_census=True)
         assert reports
 
+    def test_maximal_census_reaches_the_pendent_path_claims_only(self):
+        for cid, claim in REGISTRY.items():
+            if claim.instances is None:
+                continue
+            for n in range(1, 15):
+                for _, constraint, _ in claim.instances(n, True):
+                    assert constraint.maximal == (cid in ("T5.1", "T5.3")), (cid, n)
+
+    def test_maximal_census_leaves_t26_as_it_is(self, capsys):
+        # T2.6 counts leaves: the stricter pendent-path census must not change it
+        for fmt in ("text", "csv"):
+            outs = []
+            for extra in ((), ("--maximal-census",)):
+                assert main(["verify", "--claim", "T2.6", "--n-min", "5", "--n-max", "12",
+                             "--format", fmt, *extra]) == 0
+                out, err = capsys.readouterr()
+                assert err.splitlines() == ["ok=36 fail=0 invalid=0 empty=0"]
+                outs.append([line.rsplit(",", 1)[0] if fmt == "csv" else line
+                             for line in out.splitlines()])
+            assert outs[0] == outs[1], fmt
+
     def test_remaining_claims_full_grid_to_14(self):
         # T3.x/T4.x/T5.x run to 14 in the acceptance gate; the rest of the
         # registry must hold over the same orders
@@ -319,9 +340,9 @@ class TestReportFormats:
         ((), 0, ["ok=502 fail=0 invalid=0 empty=0"],
          "40972e2b446c43a43d8e4a8b291708de4dc2ac19ab2e928b3c4e804e20ef4939",
          "383f5d702bc5ec90aa9ab02ed15c28e04a0655afb8f89056ca78923eca51c3f8"),
-        (("--maximal-census",), 1, ["ok=379 fail=101 invalid=0 empty=22", "101 failing instance(s)"],
-         "4e099899d783df1bc1b0446fb03fa725f1d728e2d0d86470bbc157c9fc20fa6a",
-         "0e3632ff127d546326916a23ffde2c2d88bc683fa8f8492aa24422ae0a29c659"),
+        (("--maximal-census",), 1, ["ok=415 fail=66 invalid=0 empty=21", "66 failing instance(s)"],
+         "9595cff6f66d8eab3969f237537cccbf582ea719311f031c94db531a4d38498a",
+         "839705739ebe9a2a57550ce862f2ace01649d4a6d51ac36ede8afb5c5bc58f0b"),
     ], ids=["default", "maximal-census"])
     def test_verify_text_and_csv_frozen_to_12(self, capsys, extra, code, err, text_digest,
                                               csv_digest):
