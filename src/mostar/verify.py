@@ -45,7 +45,7 @@ import csv
 import io as _io
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -121,7 +121,7 @@ class VerificationReport:
         return out
 
 
-@lru_cache(maxsize=16)
+@cache
 def _records(n: int):
     """The search table of every class of order n; callers check the cap."""
     return _Table(np.concatenate(list(_batches(n))))

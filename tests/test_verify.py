@@ -75,6 +75,16 @@ class TestExtremalSearch:
         with pytest.raises(EnumerationCapError):
             check_degree_sequence_structure(8, cap=7)
 
+    def test_one_fill_per_order_past_16_orders(self):
+        # claim-major over 1..17: the last claim still finds order 1 filled
+        _records.cache_clear()
+        try:
+            for cid in claim_ids():
+                check_claim(cid, 1, 17, cap=17)
+            assert _records.cache_info().misses == 17
+        finally:
+            _records.cache_clear()
+
     def test_search_builds_trees_for_the_optimizers_only(self):
         refuse = mock.Mock(side_effect=AssertionError("per-class work on the search path"))
         _records.cache_clear()
