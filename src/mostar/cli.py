@@ -36,7 +36,6 @@ from . import io as tio
 from .enumeration import DEFAULT_CAP, ConstraintSpec, _selected, random_tree
 from .families import ParameterError, build, parse_family_spec
 from .transforms import (
-    HypothesisError,
     contract_with_pendant,
     move_pendants_to_path_neighbor,
     outcome,
@@ -158,30 +157,24 @@ def _cmd_enumerate(args) -> int:
 def _cmd_transform(args) -> int:
     t = tio.read_edge_list(args.file)
     name = args.name
-    try:
-        if name == "contract":
-            u, v = (int(x) for x in args.edge.split(","))
-            result = outcome(t, contract_with_pendant(t, (u, v)))
-        elif name == "rebalance":
-            result = outcome(t, rebalance_paths(t, args.at, args.long, args.short))
-        elif name == "move-pendants":
-            t1, t2 = move_pendants_to_path_neighbor(t, args.x, args.y)
-            r1, r2 = outcome(t, t1), outcome(t, t2)
-            print(f"Mo(T) = {r1.mo_before}")
-            print(f"Mo(T') = {r1.mo_after}  (leaves at x={args.x} moved)")
-            print(f"Mo(T'') = {r2.mo_after}  (leaves at y={args.y} moved)")
-            print(f"max increases: {max(r1.mo_after, r2.mo_after) > r1.mo_before}")
-            return 0
-        elif name == "shift":
-            path = [int(x) for x in args.path.split(",")]
-            result = shift_branch_to_end(t, path, args.i, args.c)
-        elif name == "relocate":
-            result = outcome(t, relocate_pendant(t, args.leaf, args.frm, args.to))
-        else:  # unreachable: argparse restricts choices
-            raise ValueError(name)
-    except (HypothesisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if name == "contract":
+        u, v = (int(x) for x in args.edge.split(","))
+        result = outcome(t, contract_with_pendant(t, (u, v)))
+    elif name == "rebalance":
+        result = outcome(t, rebalance_paths(t, args.at, args.long, args.short))
+    elif name == "move-pendants":
+        t1, t2 = move_pendants_to_path_neighbor(t, args.x, args.y)
+        r1, r2 = outcome(t, t1), outcome(t, t2)
+        print(f"Mo(T) = {r1.mo_before}")
+        print(f"Mo(T') = {r1.mo_after}  (leaves at x={args.x} moved)")
+        print(f"Mo(T'') = {r2.mo_after}  (leaves at y={args.y} moved)")
+        print(f"max increases: {max(r1.mo_after, r2.mo_after) > r1.mo_before}")
+        return 0
+    elif name == "shift":
+        path = [int(x) for x in args.path.split(",")]
+        result = shift_branch_to_end(t, path, args.i, args.c)
+    else:  # relocate
+        result = outcome(t, relocate_pendant(t, args.leaf, args.frm, args.to))
     print(f"Mo before = {result.mo_before}")
     print(f"Mo after  = {result.mo_after}")
     print(f"hypothesis held: {result.hypothesis_held}")
