@@ -12,7 +12,8 @@ This module provides:
 * :class:`Tree` - an immutable labeled tree on vertices ``0..n-1``,
   validated by one breadth-first search from vertex 0.
 * :func:`mostar_fast` - one subtree-size pass over the orientation that
-  search gives.
+  search gives; above ``_SMALL_N`` vertices it is one sparse
+  unit-triangular solve in BFS order, O(n) compiled work.
 * :func:`mostar_bfs` - the definition applied literally (two breadth
   first sweeps per edge, quadratic); kept as an independent oracle.
 * :func:`psi_edge` - the split of a single edge.
@@ -59,7 +60,7 @@ __all__ = [
 ]
 
 # Up to this order the pure-Python BFS beats scipy's; above it the
-# constructor calls scipy and keeps the parent array for mostar_fast.
+# constructor calls scipy and keeps the parent and order arrays for mostar_fast.
 _SMALL_N = 2048
 
 # Rows per block when splits are read out of their columns.
@@ -139,9 +140,10 @@ class Tree:
 
     The check is one breadth-first search from vertex 0: pure Python up
     to ``_SMALL_N`` vertices, scipy's compiled BFS above it.  Large
-    trees keep the resulting parent array for :func:`mostar_fast`;
-    small trees keep only their adjacency and search again on demand,
-    which costs less than storing the orientation of every tree.
+    trees keep the resulting parent and order arrays for
+    :func:`mostar_fast`; small trees keep only their adjacency and
+    search again on demand, which costs less than storing the
+    orientation of every tree.
 
     Each edge is normalized to ``(min, max)`` and kept in the order
     given to the constructor.  Up to ``_SMALL_N`` vertices the edges
@@ -152,7 +154,7 @@ class Tree:
     first use.  Either way ``edges`` and ``adj`` hold Python ints.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_edge_set")
+    __slots__ = ("n", "_edges", "_adj", "_degrees", "_earr", "_parent", "_order", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         try:
@@ -169,6 +171,7 @@ class Tree:
         self._degrees = None
         self._earr = None
         self._parent = None
+        self._order = None
         self._edge_set = None
         if n <= _SMALL_N:
             if isinstance(edges, np.ndarray):
@@ -202,12 +205,13 @@ class Tree:
         return self._adj
 
     def _orient(self, edges) -> int:
-        """Check the edges as an array and keep its BFS parents; returns
-        vertices reached.  An array made here from ``edges`` is freed
-        before the search.
+        """Check the edges as an array and keep its BFS orientation;
+        returns vertices reached.  An array made here from ``edges`` is
+        freed before the search.
 
-        ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0,
-        and ``_parent[0] == n`` serves as the sentinel of the size pass.
+        ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0
+        (scipy's negative placeholder at the root) and ``_order`` lists
+        the vertices in BFS order, both int32 as scipy returns them.
         """
         from scipy.sparse import coo_matrix
         from scipy.sparse.csgraph import breadth_first_order
@@ -234,10 +238,10 @@ class Tree:
             _reject_edge(int(u[i]), int(v[i]), n)
         mat = coo_matrix((np.ones(n - 1, dtype=np.int8), (u, v)), shape=(n, n))
         order, parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
-        parent[0] = n
         e.flags.writeable = False  # every SplitSequence of this tree shares it
         self._earr = e
         self._parent = parent
+        self._order = order
         return len(order)
 
     # -- structure accessors ---------------------------------------------------
@@ -394,9 +398,10 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
 
     Roots the tree at vertex 0 and computes every subtree size in one
     pass: linear time in pure Python for trees of at most ``_SMALL_N``
-    vertices, O(n log depth) numpy work above that.  The split of edge
-    (u, v) is then (s, n - s) for the child-side size s, and its
-    contribution is ``|n - 2*s|``.
+    vertices, one O(n) compiled triangular solve above that
+    (:func:`mostar._sizes.subtree_sizes`).  The split of edge (u, v)
+    is then (s, n - s) for the child-side size s, and its contribution
+    is ``|n - 2*s|``.
 
     Returns
     -------
@@ -418,18 +423,10 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
             n_u_values.append(n_u)
             total += abs(n - 2 * n_u)
         return total, SplitSequence(t.edges, n_u_values, n)
-    # Pointer doubling over the parent array kept by the constructor: after
-    # round k, count[x] counts the descendants of x fewer than 2**k levels
-    # below it and up[x] is its 2**k-th ancestor, or the sentinel n.  Each
-    # round adds the counts of the vertices exactly 2**k below, so the
-    # pass costs O(n log depth) with no loop over levels.
+    from ._sizes import subtree_sizes  # loaded, like scipy, with the first large tree
+
     parent = t._parent
-    up = np.append(parent, n)
-    count = np.ones(n + 1)
-    while (up[:n] < n).any():
-        count += np.bincount(up, weights=count, minlength=n + 1)
-        up = up[up]
-    sizes = count[:n].astype(np.int64)
+    sizes = subtree_sizes(parent, t._order)
     u = t._earr[:, 0]
     v = t._earr[:, 1]
     n_u = np.where(parent[u] == v, sizes[u], n - sizes[v])

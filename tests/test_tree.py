@@ -176,15 +176,27 @@ class TestMostarIndex:
         return [(i, i + 1) for i in range(h)] + [(h, j) for j in range(h + 1, n)]
 
     def test_numpy_path_agrees_with_python_path(self, monkeypatch):
-        # same tree built in both size regimes; the path and the broom are
-        # deep enough that the doubling pass runs 13 rounds
+        # same tree built in both size regimes: a random tree, then shapes
+        # that stress the triangular solve's columns: every column's
+        # parent the root (star), one long chain from the deepest root
+        # (path built with vertex 0 at an end), a chain from its middle,
+        # long legs sharing a root (spider) and a long handle (broom)
         import mostar.tree as tree_mod
 
-        n_path, n_broom, depth = 5000, 20000, 5000
+        n_path, n_star, n_spider, legs, n_broom, depth = 5000, 20000, 12001, 3, 20000, 5000
+        leg = (n_spider - 1) // legs
+        middle_out = [*range(n_path - 1, 0, -2), *range(0, n_path, 2)]  # odd ids down, then even up
         h = depth - 1
         cases = [
             (random_tree(3000, 99).edges, 3000, None),
-            ([(i, i + 1) for i in range(n_path - 1)], n_path, (n_path - 1) ** 2 // 2),
+            (star(n_star).edges, n_star, (n_star - 1) * (n_star - 2)),
+            (path(n_path).edges, n_path, (n_path - 1) ** 2 // 2),
+            (list(zip(middle_out, middle_out[1:])), n_path, (n_path - 1) ** 2 // 2),
+            (
+                build(FamilySpec.spider(n_spider, legs)).edges,
+                n_spider,
+                legs * leg * (n_spider - leg - 1),
+            ),
             (
                 self.broom(n_broom, depth),
                 n_broom,
@@ -204,18 +216,22 @@ class TestMostarIndex:
                 assert total_large == expected
 
     def test_array_regime_equals_oracle(self, monkeypatch):
-        # force every tree of order 2..8 through the scipy BFS and doubling pass
+        # force every tree of order 2..8 through the scipy BFS and the
+        # triangular solve, in float32 and then in float64
+        import mostar._sizes as sizes_mod
         import mostar.tree as tree_mod
 
         monkeypatch.setattr(tree_mod, "_SMALL_N", 1)
-        for n in range(2, 9):
-            for t in all_trees(n):
-                forced = Tree(n, t.edges)
-                assert forced._parent is not None
-                ft, fs = mostar_fast(forced)
-                bt, bs = mostar_bfs(forced)
-                assert ft == bt
-                assert list(fs) == list(bs)
+        for f32_max_n in (sizes_mod.F32_MAX_N, 1):
+            monkeypatch.setattr(sizes_mod, "F32_MAX_N", f32_max_n)
+            for n in range(2, 9):
+                for t in all_trees(n):
+                    forced = Tree(n, t.edges)
+                    assert forced._parent is not None
+                    ft, fs = mostar_fast(forced)
+                    bt, bs = mostar_bfs(forced)
+                    assert ft == bt
+                    assert list(fs) == list(bs)
 
     def test_splits_align_with_edges(self):
         t = build(FamilySpec.c(7, 1, 1))
