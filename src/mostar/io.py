@@ -10,13 +10,14 @@ JSON object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
 from typing import IO, Union
 
 import numpy as np
 
-from .tree import Tree
+from .tree import _BLOCK, Tree
 
 __all__ = [
     "to_edge_list_text",
@@ -106,11 +107,11 @@ def parse_edge_list(text: str) -> Tree:
 
 
 def write_edge_list(t: Tree, target: Union[PathLike, IO[str]]) -> None:
-    text = to_edge_list_text(t)
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        Path(target).write_text(text)
+    """Write the text of ``to_edge_list_text``, ``_BLOCK`` edges at a time."""
+    e = np.asarray(t.edges) if t._earr is None else t._earr
+    with nullcontext(target) if hasattr(target, "write") else open(target, "w") as fh:
+        fh.write(f"{t.n}\n")
+        _write_rows(fh, (e[lo:lo + _BLOCK] for lo in range(0, len(e), _BLOCK)), "%d %d\n")
 
 
 def read_edge_list(source: Union[PathLike, IO[str]]) -> Tree:

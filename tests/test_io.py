@@ -56,6 +56,21 @@ def test_stream_write():
     assert parse_edge_list(buf.getvalue()) == t
 
 
+@pytest.mark.parametrize("n", [1, 2, 2048, 2049, 10**5])
+def test_write_streams_the_text_of_to_edge_list_text(tmp_path, n):
+    # the header, then the edges a block at a time
+    t = Tree(1, []) if n == 1 else random_tree(n, 6)
+    text = to_edge_list_text(t)
+    buf = io.StringIO()
+    with mock.patch.object(buf, "write", wraps=buf.write) as spy:
+        write_edge_list(t, buf)
+    assert buf.getvalue() == text
+    assert spy.call_count == 1 + -(-(n - 1) // tree_mod._BLOCK)
+    write_edge_list(t, tmp_path / "t.txt")
+    assert (tmp_path / "t.txt").read_bytes() == text.encode()
+    assert n <= tree_mod._SMALL_N or t._edges is None
+
+
 def _path_text(n, last):
     """Edge-list text of a path on n vertices whose last line is ``last``."""
     return "".join([f"{n}\n", *(f"{i} {i + 1}\n" for i in range(n - 2)), last + "\n"])
