@@ -346,6 +346,21 @@ class TestReportFormats:
         digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
         assert digest == "c75027cd8d2217b01f6bfb55867f2fe4e475ca19bb812f781b3d1027fe0c364e"
 
+    def test_verify_json_frozen_to_12_under_maximal_census(self, tmp_path, capsys):
+        # the only run that reads maximal runs: every claim's JSON at
+        # orders 5..12 less the timings, its stderr lines and exit code
+        target = tmp_path / "v.json"
+        assert main(["verify", "--claim", "all", "--n-min", "5", "--n-max", "12",
+                     "--maximal-census", "--format", "json", "--out", str(target)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ok=415 fail=66 invalid=0 empty=21", "66 failing instance(s)"]
+        obj = json.loads(target.read_text())
+        for claim in obj:
+            for inst in claim["instances"]:
+                del inst["millis"]
+        digest = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+        assert digest == "adb860aa3072f5d7e66b8d0721fa1214a09423fd0e3d46f2a20da900e4cbab8d"
+
     @pytest.mark.parametrize("extra, code, err, text_digest, csv_digest", [
         ((), 0, ["ok=502 fail=0 invalid=0 empty=0"],
          "40972e2b446c43a43d8e4a8b291708de4dc2ac19ab2e928b3c4e804e20ef4939",
