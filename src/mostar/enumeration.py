@@ -268,10 +268,11 @@ def _batches(n: int) -> Iterator[np.ndarray]:
 class _Table:
     """Search columns of a (rows, n) matrix of level sequences, one row
     per class, in int8 or int16: ``parent`` (-1 at the root) and
-    ``degrees``, built with the table; ``mo``, ``runs`` (each leaf's
-    pendant run, else 0) and the four vertex counts, built on first
-    read; and ``degree_sequence``, each row's degrees non-increasing,
-    sorted on every read.  All carry TreeStats' names and shapes, so
+    ``degrees``, built with the table; ``mo``, ``census`` (column r
+    counts the leaves whose pendant run is r or more) and the four
+    vertex counts, built on first read; and ``degree_sequence`` and
+    ``runs()``, built on every read.  All carry TreeStats' names and
+    shapes, so
     ``ConstraintSpec._where`` reads a table as it reads one tree.  Each
     loop steps over the positions, all rows at once."""
 
@@ -301,8 +302,8 @@ class _Table:
             size.reshape(-1)[self._base + parent[:, i]] += size[:, i]
         return np.abs(n - 2 * size[:, 1:]).sum(axis=1, dtype=np.int16)
 
-    @cached_property
     def runs(self) -> np.ndarray:
+        """Each leaf's pendant run, else 0, as a (rows, n) int8 matrix."""
         n, parent, degrees = self.n, self.parent, self.degrees
         inner = degrees < 3  # off the branch vertices the tree falls into paths
         head = np.zeros(parent.shape, np.int8)  # head[r, v]: the first vertex of v's path
@@ -311,10 +312,26 @@ class _Table:
             joined = inner[:, i] & self._at(inner, parent[:, i])
             head[:, i] = np.where(joined, self._at(head, parent[:, i]), i)
             count.reshape(-1)[self._base + head[:, i]] += joined
-        # a leaf's run is the order of its path, or n - 2 if that path is the tree
-        runs = np.minimum(np.take_along_axis(count, head.astype(np.intp), axis=1), n - 2)
-        runs[degrees != 1] = 0
-        return runs.astype(np.int8)
+        # a leaf's run is the order of its path, or n - 2 if that path is the
+        # tree; written from the back, over counts that no later step reads
+        for i in range(n - 1, -1, -1):
+            run = np.minimum(self._at(count, head[:, i]), n - 2)
+            count[:, i] = np.where(degrees[:, i] == 1, run, 0)
+        return count
+
+    @cached_property
+    def census(self) -> np.ndarray:
+        """``census[:, r]``: the leaves whose pendant run is at least r,
+        for 0 < r < n; columns 0 and n read 0.  (rows, n + 1) int8."""
+        rows, n = self.parent.shape
+        census = np.zeros((rows, n + 1), np.int8)
+        base = np.arange(rows) * (n + 1)
+        for run in self.runs().T:  # each row's run lands in a cell of its own row
+            census.reshape(-1)[base + run] += 1
+        for r in range(n - 1, 0, -1):  # runs of exactly r become runs of r or more
+            census[:, r] += census[:, r + 1]
+        census[:, 0] = 0
+        return census
 
     @staticmethod
     def _count(test: np.ndarray) -> np.ndarray:
@@ -341,10 +358,10 @@ class _Table:
         return np.sort(self.degrees, axis=1)[:, ::-1]
 
     def pendent_paths(self, r: int) -> np.ndarray:
-        return np.count_nonzero(self.runs >= r, axis=1)
+        return self.census[:, min(r, self.n)]
 
     def maximal_runs(self, r: int) -> np.ndarray:
-        return np.count_nonzero(self.runs == r, axis=1)
+        return self.census[:, min(r, self.n)] - self.census[:, min(r + 1, self.n)]
 
     def select(self, constraint: ConstraintSpec) -> np.ndarray:
         """Rows in the constraint's class; K1 is only in the unconstrained one."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Optional
 
-from .tree import Tree
+from .tree import _MAX_N, Tree
 
 __all__ = ["FamilySpec", "ParameterError", "build", "parse_family_spec"]
 
@@ -245,12 +245,15 @@ def build(spec: FamilySpec) -> Tree:
 
     Raises :class:`ParameterError` naming the violated constraint when
     the parameters are out of range, or naming the field when one that
-    the kind takes is missing or not an integer.
+    the kind takes is missing or not an integer, or the order is past ``_MAX_N``.
     """
     if spec.kind not in _KINDS:
         raise ParameterError(f"unknown family kind {spec.kind!r}")
     builder, fields = _KINDS[spec.kind]
-    return builder(*(_field(spec, p) for p in fields))
+    args = [_field(spec, p) for p in fields]
+    n = sum(spec.degrees) - len(spec.degrees) + 2 if spec.kind == "cat" else args[0]
+    _require(n <= _MAX_N, f"{spec.kind} order {n} exceeds {_MAX_N}, the largest a tree holds")
+    return builder(*args)
 
 
 def _integer(value) -> bool:

@@ -71,13 +71,8 @@ class TransformOutcome:
 
 
 def outcome(before: Tree, after: Tree, hypothesis_held: bool = True) -> TransformOutcome:
-    return TransformOutcome(
-        before=before,
-        after=after,
-        mo_before=mostar_fast(before)[0],
-        mo_after=mostar_fast(after)[0],
-        hypothesis_held=hypothesis_held,
-    )
+    return TransformOutcome(before, after, mostar_fast(before)[0], mostar_fast(after)[0],
+                            hypothesis_held)
 
 
 def contract_with_pendant(t: Tree, edge: tuple[int, int]) -> Tree:

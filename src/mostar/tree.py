@@ -38,7 +38,7 @@ readers need no coordination.
 from __future__ import annotations
 
 import operator
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -65,6 +65,7 @@ _SMALL_N = 2048
 
 # Rows per block when splits are read out of their columns.
 _BLOCK = 8192
+_MAX_N = np.iinfo(np.int32).max  # the largest order: the BFS and size arrays are int32
 
 
 class EdgeSplit(NamedTuple):
@@ -165,6 +166,8 @@ class Tree:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}") from None
         if n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        if n > _MAX_N:
+            raise ValueError(f"vertex count {n} exceeds {_MAX_N}, the largest order a tree holds")
         self.n = n
         self._edges = None
         self._adj = None
@@ -549,18 +552,9 @@ def stats(t: Tree) -> TreeStats:
     branch_count = sum(1 for d in deg if d >= 3)
     leaf_count = sum(1 for d in deg if d == 1)
 
-    runs = _pendant_runs(t)
-    maximal: dict[int, int] = {}
-    for run in runs:
-        if run >= 1:
-            maximal[run] = maximal.get(run, 0) + 1
-    census: dict[int, int] = {}
-    if maximal:
-        longest = max(maximal)
-        acc = 0
-        for r in range(longest, 0, -1):
-            acc += maximal.get(r, 0)
-            census[r] = acc
+    runs = [run for run in _pendant_runs(t) if run >= 1]
+    maximal = dict(Counter(runs))
+    census = {r: sum(run >= r for run in runs) for r in range(max(runs, default=0), 0, -1)}
 
     return TreeStats(
         degree_sequence=degree_sequence,

@@ -10,33 +10,15 @@ them.  Uniqueness of the optimizer is recorded but never required.
 Each instance yields one :class:`VerificationReport`, whose ``status``
 is its one verdict: invalid, empty, ok or fail.
 
-The registry covers:
-
-======  ==========================================================
-id      claim (direction over the constrained class)
-======  ==========================================================
-T2.1    unconstrained: star maximizes, path minimizes
-T2.6    k leaves (3 <= k <= n-2): balanced spider maximizes
-C2.7    spider index grows strictly with the leg count
-T3.1    2k odd vertices: spider with 2k legs maximizes
-T3.2    2k odd vertices: near-balanced caterpillar C minimizes
-C3.3    k branch vertices: near-balanced caterpillar C minimizes
-T3.4    all degrees odd: star maximizes, full comb C minimizes
-T4.1    t degree-2 vertices: spider with n-t-1 legs maximizes
-T4.3    t degree-2 vertices: C or F family minimizes (by parity)
-C4.4    series-reduced trees: C or F family minimizes (by parity)
-T5.1    k pendent paths of length r: spider-of-paths maximizes
-T5.3    k pendent paths of length r: path-like A family minimizes
-LDL-min-degseq
-        fixed degree sequence: some minimizer is a spine
-        caterpillar whose spine degrees decrease then increase
-======  ==========================================================
+``REGISTRY`` holds one row per claim id with its summary; the README
+tabulates them.
 
 Each claim with instances checks every class of a shared grid in its
 directions.  ``maximal_census`` re-reads the pendent-path claims T5.1 and
 T5.3 only; T2.6 counts leaves under either reading.  Searches share one
 cached table of columns per order, read off the level sequences, and
-build a tree only for each optimizer.
+build a tree only for each optimizer.  Each claimed family is built, and
+each family and optimizer class put in canonical form, only once.
 """
 
 from __future__ import annotations
@@ -156,6 +138,27 @@ def extremal_search(
     return int(best), [table.tree(row) for row in rows[mo == best].tolist()]
 
 
+@cache
+def _claimed(family: FamilySpec) -> tuple:
+    """``(invalid, Mo, stats, canonical form)`` of a claimed family (its spec holds n)."""
+    try:
+        tree = build(family)
+    except ParameterError as exc:
+        return str(exc), None, None, None
+    return None, mostar_fast(tree)[0], stats(tree), canonical_form(tree)
+
+
+# Each optimizer class's canonical form by (n, edges): a class's labels never change.
+_optimizer_forms: dict[tuple, str] = {}
+
+
+def _optimizer_form(t: Tree) -> str:
+    key = t.n, t.edges
+    if key not in _optimizer_forms:
+        _optimizer_forms[key] = canonical_form(t)
+    return _optimizer_forms[key]
+
+
 def _verify_instance(
     claim_id: str,
     n: int,
@@ -167,27 +170,21 @@ def _verify_instance(
 ) -> VerificationReport:
     _table(n, cap)  # the order's shared table is filled outside the instance's time
     t0 = time.perf_counter()
-    claimed_tree = invalid = None
     if family is None:
-        invalid = "no family claimed for this instance"
+        invalid, value = "no family claimed for this instance", None
     else:
-        try:
-            claimed_tree = build(family)
-        except ParameterError as exc:
-            invalid = str(exc)
+        invalid, value, claimed_stats, claimed_form = _claimed(family)
     brute_value, argopt = extremal_search(n, constraint, direction, cap=cap)
-    argopt_canons = tuple(canonical_form(t) for t in argopt)
+    argopt_canons = tuple(map(_optimizer_form, argopt))
     checked = {}
     if brute_value is not None:
         checked["argopt_unique"] = len(argopt) == 1
-        if claimed_tree is not None:
-            value = mostar_fast(claimed_tree)[0]
-            in_class = constraint.matches(stats(claimed_tree))
+        if value is not None:
+            in_class = constraint.matches(claimed_stats)
             match = value == brute_value
             checked.update(
                 claimed_value=value, value_match=match, claimed_in_class=in_class,
-                claimed_is_argopt=bool(in_class and match
-                                       and canonical_form(claimed_tree) in argopt_canons))
+                claimed_is_argopt=bool(in_class and match and claimed_form in argopt_canons))
     return VerificationReport(
         claim_id=claim_id, n=n, params=params, direction=direction,
         brute_value=brute_value, argopt_count=len(argopt),
@@ -256,15 +253,10 @@ def claimed_extremal(n: int, constraint: ConstraintSpec, direction: str) -> Opti
             return FamilySpec.path(n)
         if t > n - 4:
             return None  # t = n-3 is an empty class
-        if direction == "max":
-            return FamilySpec.spider(n, n - t - 1)
-        return _deg2_minimizer(n, t)
+        return FamilySpec.spider(n, n - t - 1) if direction == "max" else _deg2_minimizer(n, t)
 
-    if kind == "series_reduced":
-        # Same classes as deg2_count with t = 0.
-        if direction == "max":
-            return FamilySpec.star(n)
-        return _deg2_minimizer(n, 0)
+    if kind == "series_reduced":  # the classes of deg2_count with t = 0
+        return FamilySpec.star(n) if direction == "max" else _deg2_minimizer(n, 0)
 
     if kind == "pendent_path_count":
         k, r = constraint.value, constraint.r
@@ -523,26 +515,23 @@ def reports_to_json_obj(reports: Iterable[VerificationReport]):
     by_claim: dict[str, list[VerificationReport]] = {}
     for r in reports:
         by_claim.setdefault(r.claim_id, []).append(r)
-    objs = [
-        {"claim": cid, "instances": [r.to_json_dict() for r in rs]}
-        for cid, rs in by_claim.items()
-    ]
+    objs = [{"claim": cid, "instances": [r.to_json_dict() for r in rs]}
+            for cid, rs in by_claim.items()]
     return objs[0] if len(objs) == 1 else objs
+
+
+# The CSV columns read off each report, between its params and millis.
+_CSV_FIELDS = ("direction", "brute_value", "claimed_value", "value_match", "claimed_is_argopt",
+               "argopt_unique", "argopt_count")
 
 
 def reports_to_csv(reports: Iterable[VerificationReport]) -> str:
     """CSV summary, one row per instance."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([
-        "claim", "n", "params", "direction", "brute_value", "claimed_value",
-        "value_match", "claimed_is_argopt", "argopt_unique", "argopt_count", "millis",
-    ])
+    writer.writerow(["claim", "n", "params", *_CSV_FIELDS, "millis"])
     for r in reports:
         params = ";".join(f"{k}={v}" for k, v in r.params.items())
-        writer.writerow([
-            r.claim_id, r.n, params, r.direction, r.brute_value, r.claimed_value,
-            r.value_match, r.claimed_is_argopt, r.argopt_unique, r.argopt_count,
-            f"{r.millis:.3f}",
-        ])
+        writer.writerow([r.claim_id, r.n, params, *(getattr(r, f) for f in _CSV_FIELDS),
+                         f"{r.millis:.3f}"])
     return buf.getvalue()

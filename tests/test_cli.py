@@ -149,6 +149,13 @@ class TestFamily:
         code, _, err = run(capsys, "family", "C:n=7,a=9,b=9")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("spec", ["star:n=3000000000", "path:n=1000000000000",
+                                      "cat:d=2999999997,3"])
+    def test_order_past_int32_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "family", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2147483647" in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "t.txt"
         code, _, _ = run(capsys, "family", "path:n=5", "--out", str(target))
@@ -180,6 +187,18 @@ class TestEnumerate:
 
         trees = [tree_from_record(json.loads(line)) for line in out.splitlines()]
         assert trees and all(stats(t).deg2_count == 0 for t in trees)
+
+    @pytest.mark.parametrize("filt, count", [("ppaths=0:40", 106), ("ppaths=1:40", 0),
+                                             ("ppaths=2:8", 1)])
+    def test_filter_ppaths_at_and_past_the_order(self, capsys, filt, count):
+        # no run reaches 40 at n = 10; only the path has two runs of n - 2
+        code, out, err = run(capsys, "enumerate", "--n", "10", "--filter", filt)
+        assert (code, len(out.splitlines()), err) == (0, count, f"{count} trees\n")
+        k, r = map(int, filt[len("ppaths="):].split(":"))
+        from mostar import stats
+
+        trees = [tree_from_record(json.loads(line)) for line in out.splitlines()]
+        assert all(stats(t).pendent_paths(r) == k for t in trees)
 
     def test_offset_limit(self, capsys):
         _, full, _ = run(capsys, "enumerate", "--n", "7")

@@ -276,7 +276,9 @@ class TestTreesSatisfying:
 def assert_rows_are(table, pairs, same_labels=True):
     """Each (row, tree) pair: the table row holds the index and stats of the tree."""
     n = table.n
-    census = {r: (table.pendent_paths(r), table.maximal_runs(r)) for r in range(1, n)}
+    census = {r: (table.pendent_paths(r), table.maximal_runs(r)) for r in range(1, n + 3)}
+    assert not any(census[r][0].any() or census[r][1].any() for r in range(n, n + 3))
+    runs_of = table.runs()
     for row, t in pairs:
         assert table.mo[row] == mostar_fast(t)[0]
         if same_labels:
@@ -290,7 +292,7 @@ def assert_rows_are(table, pairs, same_labels=True):
                 table.leaf_count[row]) == (want.odd_count, want.deg2_count, want.branch_count,
                                            want.leaf_count)
         assert tuple(table.degree_sequence[row].tolist()) == want.degree_sequence
-        runs = [int(table.runs[row, v]) for v in range(n) if table.degrees[row, v] == 1]
+        runs = [int(runs_of[row, v]) for v in range(n) if table.degrees[row, v] == 1]
         assert runs == tree_mod._pendant_runs(table.tree(row))
         assert sorted(runs) == sorted(tree_mod._pendant_runs(t))
         for r, (paths, maximal) in census.items():
@@ -334,7 +336,7 @@ class TestSearchTable:
 
 
 # The _Table columns built on first read.
-LAZY_COLUMNS = ("mo", "runs", "odd_count", "deg2_count", "branch_count", "leaf_count")
+LAZY_COLUMNS = ("mo", "census", "odd_count", "deg2_count", "branch_count", "leaf_count")
 
 
 @contextlib.contextmanager

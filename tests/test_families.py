@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mostar.families as families_mod
 from mostar import (
     ConstraintSpec,
     FamilySpec,
@@ -176,6 +178,19 @@ class TestParameterErrors:
     def test_rejected(self, spec):
         with pytest.raises(ParameterError):
             build(spec)
+
+    @pytest.mark.parametrize("n", [3_000_000_000, 10**12])
+    @pytest.mark.parametrize("make", [
+        FamilySpec.path, FamilySpec.star, lambda n: FamilySpec.spider(n, 3),
+        lambda n: FamilySpec.caterpillar((n - 3, 3)), lambda n: FamilySpec.c(n, 1, 1),
+        lambda n: FamilySpec.f(n, 1, 1), lambda n: FamilySpec.srk(n, 2, 3),
+        lambda n: FamilySpec.a_family(n, 2, 1, 1),
+    ])
+    def test_orders_past_int32_rejected_before_growing(self, make, n):
+        refuse = mock.Mock(side_effect=AssertionError("a tree of that order was grown"))
+        with mock.patch.object(families_mod, "_grow", refuse), \
+                pytest.raises(ParameterError, match=f"order {n} exceeds 2147483647"):
+            build(make(n))
 
     def test_error_names_constraint(self):
         with pytest.raises(ParameterError, match=r"2\*\(a\+b\) <= n-1"):

@@ -88,6 +88,15 @@ class TestTreeConstruction:
             with pytest.raises(ValueError, match="positive integer"):
                 Tree(bad, [])
 
+    @pytest.mark.parametrize("n", [3_000_000_000, 10**12])
+    def test_orders_past_int32_rejected_before_the_edges_are_read(self, n):
+        def edges():
+            raise AssertionError("edges read")
+            yield
+
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds 2147483647"):
+            Tree(n, edges())
+
     def test_equality_ignores_edge_order(self):
         a = Tree(4, [(0, 1), (1, 2), (2, 3)])
         b = Tree(4, [(2, 3), (1, 0), (2, 1)])

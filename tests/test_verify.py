@@ -13,6 +13,7 @@ from mostar import (
     ConstraintSpec,
     EnumerationCapError,
     FamilySpec,
+    ParameterError,
     Tree,
     build,
     canonical_form,
@@ -84,6 +85,37 @@ class TestExtremalSearch:
             assert _records.cache_info().misses == 17
         finally:
             _records.cache_clear()
+
+    def test_each_family_is_built_and_each_class_formed_once(self):
+        # every instance claim at orders 5..9; C2.7 builds its own spiders
+        claims = [claim.id for claim in REGISTRY.values() if claim.instances is not None]
+        specs, classes = set(), set()
+        for cid in claims:
+            for n in range(5, 10):
+                for _, constraint, direction in REGISTRY[cid].instances(n):
+                    specs.add(claimed_extremal(n, constraint, direction))
+                    argopt = extremal_search(n, constraint, direction)[1]
+                    classes.update((t.n, t.edges) for t in argopt)
+        specs.discard(None)
+
+        def buildable(spec):
+            try:
+                return build(spec) is not None
+            except ParameterError:
+                return False
+
+        mostar.verify._claimed.cache_clear()
+        mostar.verify._optimizer_forms.clear()
+        with mock.patch.object(mostar.verify, "canonical_form", wraps=canonical_form) as forms, \
+                mock.patch.object(mostar.verify, "build", wraps=build) as builds:
+            for cid in claims:
+                check_claim(cid, 5, 9)
+            calls = forms.call_count, builds.call_count
+            for cid in claims:  # a second pass finds every family and class done
+                check_claim(cid, 5, 9)
+        assert len(classes) < calls[0] == sum(map(buildable, specs)) + len(classes)
+        assert calls[1] == len(specs)
+        assert (forms.call_count, builds.call_count) == calls
 
     def test_search_builds_trees_for_the_optimizers_only(self):
         refuse = mock.Mock(side_effect=AssertionError("per-class work on the search path"))
