@@ -139,8 +139,10 @@ def extremal_search(
 
 
 @cache
-def _claimed(family: FamilySpec) -> tuple:
+def _claimed(family: Optional[FamilySpec]) -> tuple:
     """``(invalid, Mo, stats, canonical form)`` of a claimed family (its spec holds n)."""
+    if family is None:
+        return "no family claimed for this instance", None, None, None
     try:
         tree = build(family)
     except ParameterError as exc:
@@ -170,10 +172,7 @@ def _verify_instance(
 ) -> VerificationReport:
     _table(n, cap)  # the order's shared table is filled outside the instance's time
     t0 = time.perf_counter()
-    if family is None:
-        invalid, value = "no family claimed for this instance", None
-    else:
-        invalid, value, claimed_stats, claimed_form = _claimed(family)
+    invalid, value, claimed_stats, claimed_form = _claimed(family)
     brute_value, argopt = extremal_search(n, constraint, direction, cap=cap)
     argopt_canons = tuple(map(_optimizer_form, argopt))
     checked = {}
