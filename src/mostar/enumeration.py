@@ -270,11 +270,11 @@ class _Table:
     per class, in int8 or int16: ``parent`` (-1 at the root) and
     ``degrees``, built with the table; ``mo``, ``census`` (column r
     counts the leaves whose pendant run is r or more) and the four
-    vertex counts, built on first read; and ``degree_sequence`` and
-    ``runs()``, built on every read.  All carry TreeStats' names and
-    shapes, so
-    ``ConstraintSpec._where`` reads a table as it reads one tree.  Each
-    loop steps over the positions, all rows at once."""
+    vertex counts, built on first read; and ``degree_sequence``, sorted
+    on every read.  All carry TreeStats' names and shapes, so
+    ``ConstraintSpec._where`` reads a table as it reads one tree.
+    ``runs()`` makes the per-leaf runs anew on each call.  Each loop
+    steps over the positions, all rows at once."""
 
     def __init__(self, depth: np.ndarray):
         rows, n = depth.shape

@@ -65,6 +65,7 @@ _SMALL_N = 2048
 
 # Rows per block when splits are read out of their columns.
 _BLOCK = 8192
+
 _MAX_N = np.iinfo(np.int32).max  # the largest order: the BFS and size arrays are int32
 
 
