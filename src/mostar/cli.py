@@ -149,7 +149,7 @@ def _cmd_enumerate(args) -> int:
     constraint = args.filter if args.filter is not None else ConstraintSpec.unconstrained()
     window = _window(_selected(args.n, constraint, args.cap), args.offset, args.limit)
     with _output(args.out) as fh:
-        count = tio._write_rows(fh, window, tio._record_row(args.format, args.n, range(1, args.n)))
+        count = tio._write_rows(fh, window, tio._record_row(args.format, args.n))
     print(f"{count} trees", file=sys.stderr)
     return 0
 

@@ -6,12 +6,19 @@ The writer emits single spaces and LF line endings; the reader takes
 any whitespace between tokens (tabs, CRLF).  DOT export writes an
 undirected graph with vertex ids as node names.  NDJSON records are one
 JSON object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
+
+Every text output with a row per edge or per tree (edge lists, DOT,
+the ``compute`` table and JSON, ``enumerate`` records) goes through one
+writer, ``_write_rows``: it fills a row template's ``%d`` slots from
+int arrays a block at a time, looking each 4-digit part of a value up
+in a table of ASCII words.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from itertools import chain
+from functools import cache
+from io import StringIO
 from pathlib import Path
 from typing import IO, Union
 
@@ -32,39 +39,133 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def _record_row(fmt: str, n: int, children=None) -> str:
-    """A tree of order n as one ``edgelist`` or ``ndjson`` record, with a
-    ``%d`` slot per edge id.  Given the n - 1 ``children`` (the second id
-    of each edge), they are written into the record, so only the first
-    ids fill slots: an enumerated class formats just its parents."""
+def _record_row(fmt: str, n: int) -> str:
+    """An enumerated tree of order n as one ``edgelist`` or ``ndjson``
+    record: edge i is (parent of i, i) for i = 1..n - 1, with the child
+    ids written in and a ``%d`` slot for each parent."""
     if fmt == "edgelist":
         head, edge, sep, tail = f"{n}\n", "%d {}\n", "", ""
     else:
         head, edge, sep, tail = '{"n":%d,"edges":[' % n, "[%d,{}]", ",", "]}\n"
-    if children is None:
-        return head + sep.join([edge.format("%d")] * (n - 1)) + tail
-    return head + sep.join(map(edge.format, children)) + tail
+    return head + sep.join(map(edge.format, range(1, n))) + tail
+
+
+# Rows are rendered a chunk of at most this many record bytes at a time.
+_CHUNK_BYTES = 1 << 16
+
+_WORD = 10_000  # a value is written as 4-digit words
+
+
+@cache
+def _digit_words() -> np.ndarray:
+    """The ASCII bytes of 0..9999 as little-endian 4-byte words, in three
+    runs of 10^4: zero-padded (``0042``), a value's leading word padded
+    with NUL (``\\0\\042``, 0 all NUL), and a value's only word (the
+    same, except that 0 reads ``\\0\\0\\00``).  Filled in place, with
+    no temporary larger than ten digits."""
+    words = np.empty(3 * _WORD, "<u4")
+    padded, leading, only = words.reshape(3, _WORD)
+    digits = np.arange(48, 58, dtype=np.uint32)  # b"0".."9"
+    grid = padded.reshape(10, 10, 10, 10)  # axis 0 is the thousands digit, the first byte
+    grid[...] = digits[:, None, None, None]
+    grid |= (digits << 8)[:, None, None]
+    grid |= (digits << 16)[:, None]
+    grid |= digits << 24
+    leading[:] = padded
+    for width in (3, 2, 1):  # below 10^width, the first 4 - width bytes are NUL
+        leading[:10 ** width] &= 0xFFFFFFFF << 8 * (4 - width) & 0xFFFFFFFF
+    leading[0] = 0
+    only[:] = leading
+    only[0] = 48 << 24
+    words.flags.writeable = False  # shared by every call
+    return words
+
+
+def _record(literals: list[bytes], words: int) -> np.ndarray:
+    """A chunk of packed records: each literal, with the ``words`` 4-digit
+    words of one slot between each two, the literals filled in."""
+    fields = []
+    for j, text in enumerate(literals):
+        fields += [(f"l{j}", f"S{len(text)}")] if text else []
+        fields += [(f"v{j}", "<u4", (words,))] if j < len(literals) - 1 else []
+    dtype = np.dtype(fields)
+    rec = np.empty(max(1, _CHUNK_BYTES // max(dtype.itemsize, 1)), dtype)
+    for j, text in enumerate(literals):
+        if text:
+            rec[f"l{j}"] = text
+    return rec
 
 
 def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
-    """Write ``row`` filled from each row of each int block, rows joined
-    by ``sep``, one ``%`` per block; returns the number of rows written."""
-    count = 0
+    """Write ``row`` for each row of each int block, its ``%d`` slots
+    filled from the row's values, rows joined by ``sep``; one ``write``
+    per non-empty block.  Returns the number of rows written.
+
+    Rows are packed records (``_record``) filled a chunk at a time: each
+    slot's value as as many 4-digit words of ``_digit_words`` as the
+    block's largest value needs, looked up from the value's 4-digit
+    parts, and the NUL padding dropped by one ``bytes.translate``.
+    ``row`` and ``sep`` may hold no other ``%`` and no NUL; a negative
+    value raises ``ValueError``.
+    """
+    literals = (sep + row).split("%d")
+    if "%" in "".join(literals) or "\0" in "".join(literals):
+        raise ValueError(f"row {row!r} and sep {sep!r} may hold no '%' but %d slots, and no NUL")
+    literals = [text.encode() for text in literals]
+    slots, rec, shape, count = len(literals) - 1, None, None, 0
     for block in blocks:
-        if len(block):
-            values = tuple(block.ravel().tolist())
-            fh.write((sep if count else "") + sep.join([row] * len(block)) % values)
-            count += len(block)
+        if not len(block):
+            continue
+        if block.shape[1:] != (slots,):
+            raise ValueError(f"a block of shape {block.shape} for a row of {slots} slots")
+        words, dtype = 0, np.int32
+        if slots:
+            if block.min() < 0:
+                raise ValueError("negative values cannot be written")
+            top = int(block.max())
+            words = -(-len(str(top)) // 4)
+            dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
+        if words != shape:
+            rec, shape = _record(literals, words), words
+            fields = [rec[f"v{j}"] for j in range(slots)]
+        parts = []
+        for lo in range(0, len(block), len(rec)):
+            q = block[lo:lo + len(rec)].astype(dtype)
+            m = len(q)
+            if slots:
+                index = np.empty((m, slots, words), dtype)
+                for i in reversed(range(words)):  # word i of each value, the last first
+                    run = 2 * _WORD if i == words - 1 else _WORD  # past the zero-padded run
+                    if i == 0:
+                        index[..., 0] = q + run  # the leading word, below 10^4
+                    else:
+                        high = q // _WORD
+                        part = q - high * _WORD
+                        index[..., i] = np.where(high, part, part + run)
+                        q = high
+                values = _digit_words().take(index)
+                for j, field in enumerate(fields):
+                    field[:m] = values[:, j]
+            parts.append(rec[:m].tobytes().translate(None, b"\0"))
+        if not count:
+            parts[0] = parts[0][len(sep):]
+        text = b"".join(parts)
+        parts.clear()  # the block's bytes are held once while they are decoded
+        fh.write(text.decode())
+        count += len(block)
     return count
 
 
-def _ids(t: Tree) -> tuple[int, ...]:
-    """The edge ids ``u0, v0, u1, v1, ...``, from the int64 array above ``_SMALL_N``."""
-    return tuple(chain.from_iterable(t.edges) if t._earr is None else t._earr.ravel().tolist())
+def _edge_blocks(t: Tree):
+    """The edges as ``(k, 2)`` int arrays of at most ``_BLOCK`` rows."""
+    e = np.asarray(t.edges).reshape(-1, 2) if t._earr is None else t._earr
+    return (e[lo:lo + _BLOCK] for lo in range(0, len(e), _BLOCK))
 
 
 def to_edge_list_text(t: Tree) -> str:
-    return _record_row("edgelist", t.n) % _ids(t)
+    buf = StringIO()
+    write_edge_list(t, buf)
+    return buf.getvalue()
 
 
 def _token_values(text: str) -> np.ndarray:
@@ -107,11 +208,10 @@ def parse_edge_list(text: str) -> Tree:
 
 
 def write_edge_list(t: Tree, target: Union[PathLike, IO[str]]) -> None:
-    """Write the text of ``to_edge_list_text``, ``_BLOCK`` edges at a time."""
-    e = np.asarray(t.edges) if t._earr is None else t._earr
+    """Write the edge-list text, ``_BLOCK`` edges at a time."""
     with nullcontext(target) if hasattr(target, "write") else open(target, "w") as fh:
         fh.write(f"{t.n}\n")
-        _write_rows(fh, (e[lo:lo + _BLOCK] for lo in range(0, len(e), _BLOCK)), "%d %d\n")
+        _write_rows(fh, _edge_blocks(t), "%d %d\n")
 
 
 def read_edge_list(source: Union[PathLike, IO[str]]) -> Tree:
@@ -121,14 +221,18 @@ def read_edge_list(source: Union[PathLike, IO[str]]) -> Tree:
 
 
 def to_dot(t: Tree, name: str = "tree") -> str:
-    # only K1 has a vertex on no edge; the name stays out of the template
-    body = "  0;\n" if t.n == 1 else "  %d -- %d;\n" * (t.n - 1) % _ids(t)
-    return f"graph {name} {{\n{body}}}\n"
+    buf = StringIO()
+    buf.write(f"graph {name} {{\n")  # the name stays out of the row template
+    if t.n == 1:  # only K1 has a vertex on no edge
+        buf.write("  0;\n")
+    _write_rows(buf, _edge_blocks(t), "  %d -- %d;\n")
+    buf.write("}\n")
+    return buf.getvalue()
 
 
 def tree_record(t: Tree) -> dict:
-    ids = _ids(t)
-    return {"n": t.n, "edges": [[u, v] for u, v in zip(ids[::2], ids[1::2])]}
+    edges = [list(e) for e in t.edges] if t._earr is None else t._earr.tolist()
+    return {"n": t.n, "edges": edges}
 
 
 def tree_from_record(record: dict) -> Tree:

@@ -108,7 +108,8 @@ class TestCompute:
         }
 
     @pytest.mark.parametrize("t", [Tree(1, []), Tree(2, [(1, 0)]), build(FamilySpec.c(7, 1, 1)),
-                                   random_tree(9000, 4)], ids=["n1", "n2", "n7", "random9000"])
+                                   random_tree(9000, 4), random_tree(20000, 4)],
+                             ids=["n1", "n2", "n7", "random9000", "random20000"])
     def test_json_and_table_bytes_past_one_block(self, capsys, tmp_path, t):
         import mostar.tree as tree_mod
 

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mostar.io as io_mod
 import mostar.tree as tree_mod
@@ -69,6 +71,93 @@ def test_write_streams_the_text_of_to_edge_list_text(tmp_path, n):
     write_edge_list(t, tmp_path / "t.txt")
     assert (tmp_path / "t.txt").read_bytes() == text.encode()
     assert n <= tree_mod._SMALL_N or t._edges is None
+
+
+def test_write_edge_list_round_trips_ids_of_two_words(tmp_path):
+    # ids from 10^4 up take a second 4-digit word
+    t = random_tree(20000, 5)
+    write_edge_list(t, tmp_path / "t.txt")
+    text = (tmp_path / "t.txt").read_text()
+    assert text == f"{t.n}\n" + "".join(f"{u} {v}\n" for u, v in t._earr.tolist())
+    assert read_edge_list(tmp_path / "t.txt") == t
+
+
+def _percent(blocks, row, sep=""):
+    """The rows of ``_write_rows`` from one ``%`` per block."""
+    return sep.join(sep.join([row] * len(b)) % tuple(b.ravel().tolist()) for b in blocks if len(b))
+
+
+def _written(blocks, row, sep=""):
+    buf = io.StringIO()
+    count = io_mod._write_rows(buf, blocks, row, sep)
+    assert count == sum(map(len, blocks))
+    return buf.getvalue()
+
+
+# The edges of the 4-digit words and of int32.
+_EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 2**31 - 1]
+
+
+@pytest.mark.parametrize("sep", ["", ",\n"])
+@pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
+def test_rows_match_percent_at_word_edges(sep, chunk):
+    ints = np.array(_EDGE_VALUES)
+    wide = np.array([*_EDGE_VALUES, 2**31, 10**12, 2**63 - 1])
+    blocks = [ints.reshape(-1, 2), ints[:0].reshape(0, 2), ints[::-1].reshape(-1, 2),
+              wide[:10].reshape(-1, 2), ints.reshape(-1, 2)]
+    with mock.patch.object(io_mod, "_CHUNK_BYTES", chunk):  # 1 byte: one row per chunk
+        assert _written(blocks, "(%d, %d)\n", sep) == _percent(blocks, "(%d, %d)\n", sep)
+        column = [ints.reshape(-1, 1), wide.reshape(-1, 1)]
+        assert _written(column, "%d", sep) == _percent(column, "%d", sep)
+
+
+def test_rows_with_no_slot_repeat_the_row():
+    # the n = 1 NDJSON record: blocks of shape (k, 0)
+    record = io_mod._record_row("ndjson", 1)
+    blocks = [np.zeros((3, 0), np.int8), np.zeros((0, 0), np.int8), np.zeros((2, 0), np.int8)]
+    assert _written(blocks, record) == '{"n":1,"edges":[]}\n' * 5
+    assert _written(blocks, "", ",") == ",,,,"
+    assert _written([], "%d") == ""
+
+
+@pytest.mark.parametrize("row, sep", [("%s", ""), ("%%d", ""), ("100%", ""), ("%d\0", ""),
+                                      ("%d", "%"), ("%d", "\0")])
+def test_rows_with_a_percent_or_nul_literal_are_rejected(row, sep):
+    with pytest.raises(ValueError, match="no '%'"):
+        io_mod._write_rows(io.StringIO(), [np.ones((1, 1), np.int64)], row, sep)
+
+
+def test_negative_values_are_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        io_mod._write_rows(io.StringIO(), [np.array([[3, -1]])], "%d %d\n")
+
+
+_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(0, 20_000),
+                    st.integers(0, 2**63 - 1))
+_LITERALS = st.text(st.characters(codec="utf-8", exclude_characters="%\0"), max_size=5)
+
+
+@st.composite
+def _row_blocks(draw):
+    """(blocks, row, sep, chunk bytes): int64 blocks of one width and a row
+    of that many slots, with literals between them."""
+    slots = draw(st.integers(0, 4))
+    literals = draw(st.lists(_LITERALS, min_size=slots + 1, max_size=slots + 1))
+    blocks = [np.array(draw(st.lists(_VALUES, min_size=k * slots, max_size=k * slots)),
+                       np.int64).reshape(k, slots)
+              for k in draw(st.lists(st.integers(0, 12), max_size=4))]
+    sep = draw(st.sampled_from(["", ",\n", ","]))
+    return blocks, "%d".join(literals), sep, draw(st.integers(1, 200))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_blocks())
+@example(([np.zeros((1, 0), np.int64)], '{"n":1,"edges":[]}\n', "", 1 << 16))
+@example(([np.zeros((0, 2), np.int64), np.array([[0, 2**31 - 1]])], "%d %d", ",\n", 8))
+def test_rows_match_percent(case):
+    blocks, row, sep, chunk = case
+    with mock.patch.object(io_mod, "_CHUNK_BYTES", chunk):
+        assert _written(blocks, row, sep) == _percent(blocks, row, sep)
 
 
 def _path_text(n, last):
