@@ -102,9 +102,9 @@ def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
     per non-empty block.  Returns the number of rows written.
 
     Rows are packed records (``_record``) filled a chunk at a time: each
-    slot's value as as many 4-digit words of ``_digit_words`` as the
-    block's largest value needs, looked up from the value's 4-digit
-    parts, and the NUL padding dropped by one ``bytes.translate``.
+    slot holds as many 4-digit words of ``_digit_words`` as the block's
+    largest value needs, looked up from the value's 4-digit parts, and
+    one ``bytes.translate`` drops the NUL padding.
     ``row`` and ``sep`` may hold no other ``%`` and no NUL; a negative
     value raises ``ValueError``.
     """

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -125,6 +129,21 @@ def test_rows_with_no_slot_repeat_the_row():
 def test_rows_with_a_percent_or_nul_literal_are_rejected(row, sep):
     with pytest.raises(ValueError, match="no '%'"):
         io_mod._write_rows(io.StringIO(), [np.ones((1, 1), np.int64)], row, sep)
+
+
+def test_digit_table_is_built_on_the_first_write_not_at_import():
+    code = (
+        "import io, numpy as np\n"
+        "import mostar.cli, mostar.io as m\n"
+        "assert m._digit_words.cache_info().currsize == 0, 'built at import'\n"
+        "m._write_rows(io.StringIO(), [np.ones((1, 1), np.int64)], '%d')\n"
+        "assert m._digit_words.cache_info().currsize == 1\n"
+    )
+    src = str(Path(io_mod.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_negative_values_are_rejected():
