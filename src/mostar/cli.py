@@ -59,11 +59,6 @@ def _output(out: Optional[str]):
             yield fh
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    with _output(out) as fh:
-        fh.write(text)
-
-
 _ROW = "  (%d, %d)  n_u=%d  n_v=%d  psi=%d\n"
 # One split as json.dumps(..., indent=2) writes it inside the "splits" list.
 _JSON_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
@@ -89,15 +84,14 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    spec = parse_family_spec(args.spec)
-    t = build(spec)
-    if args.format == "dot":
-        text = tio.to_dot(t)
-    elif args.format == "json":
-        text = json.dumps(tio.tree_record(t)) + "\n"
-    else:
-        text = tio.to_edge_list_text(t)
-    _write_output(text, args.out)
+    t = build(parse_family_spec(args.spec))  # before --out is opened: a bad spec leaves no file
+    with _output(args.out) as fh:
+        if args.format == "dot":
+            fh.write(tio.to_dot(t))
+        elif args.format == "json":
+            fh.write(json.dumps(tio.tree_record(t)) + "\n")
+        else:
+            tio.write_edge_list(t, fh)
     return 0
 
 
@@ -208,9 +202,9 @@ def _cmd_verify(args) -> int:
         return 2
     reports.sort(key=lambda r: (r.claim_id, r.n, sorted(r.params.items()), r.direction))
     if args.format == "json":
-        _write_output(json.dumps(reports_to_json_obj(reports), indent=2) + "\n", args.out)
+        text = json.dumps(reports_to_json_obj(reports), indent=2) + "\n"
     elif args.format == "csv":
-        _write_output(reports_to_csv(reports), args.out)
+        text = reports_to_csv(reports)
     else:
         lines = []
         for r in reports:
@@ -219,7 +213,9 @@ def _cmd_verify(args) -> int:
                 f"{r.claim_id} n={r.n} {params} [{r.direction}] "
                 f"brute={r.brute_value} claimed={r.claimed_value} "
                 f"unique={r.argopt_unique} {_STATUS_TEXT[r.status].format(r.invalid)}")
-        _write_output("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    with _output(args.out) as fh:
+        fh.write(text)
     # invalid and empty-class instances pass vacuously; they are counted apart
     counts = Counter(r.status for r in reports)
     print(" ".join(f"{s}={counts[s]}" for s in _STATUS_TEXT), file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .tree import Tree, TreeStats
+from .tree import _MAX_N, Tree, TreeStats
 
 __all__ = [
     "DEFAULT_CAP",
@@ -430,8 +430,8 @@ def prufer_to_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
 
 def random_tree(n: int, seed: int) -> Tree:
     """Uniformly random labeled tree on n >= 2 vertices, seeded."""
-    if n < 2:
-        raise ValueError(f"random_tree needs n >= 2, got {n}")
+    if not 2 <= n <= _MAX_N:  # checked before the order's Prufer sequence is drawn
+        raise ValueError(f"random_tree needs 2 <= n <= {_MAX_N}, got {n}")
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return Tree(n, prufer_to_edges(seq))

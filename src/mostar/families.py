@@ -125,8 +125,8 @@ def parse_family_spec(text: str) -> FamilySpec:
         for item in rest.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if key not in ("n", "r", "a", "b", "k"):
-                raise ParameterError(f"unknown family parameter {key!r} in {text!r}")
+            if key in params:  # a key the kind does not take is named below
+                raise ParameterError(f"family parameter {key!r} given twice in {text!r}")
             try:
                 params[key] = int(value)
             except ValueError:

@@ -10,8 +10,9 @@ JSON object per tree: ``{"n": ..., "edges": [[u, v], ...]}``.
 Every text output with a row per edge or per tree (edge lists, DOT,
 the ``compute`` table and JSON, ``enumerate`` records) goes through one
 writer, ``_write_rows``: it fills a row template's ``%d`` slots from
-int arrays a block at a time, looking each 4-digit part of a value up
-in a table of ASCII words.
+int arrays of values 0..2^31 - 1, looking each 4-digit part of a value
+up in a table of ASCII words, and writes the text one chunk of at most
+64 KB at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .tree import _BLOCK, Tree
+from .tree import _MAX_N, Tree
 
 __all__ = [
     "to_edge_list_text",
@@ -81,15 +82,16 @@ def _digit_words() -> np.ndarray:
     return words
 
 
-def _record(literals: list[bytes], words: int) -> np.ndarray:
-    """A chunk of packed records: each literal, with the ``words`` 4-digit
-    words of one slot between each two, the literals filled in."""
+def _record(literals: list[bytes], words: int, rows: int) -> np.ndarray:
+    """Packed records for ``rows`` rows, or as many as fit in
+    ``_CHUNK_BYTES``: each literal, with the ``words`` 4-digit words of
+    one slot between each two, the literals filled in."""
     fields = []
     for j, text in enumerate(literals):
         fields += [(f"l{j}", f"S{len(text)}")] if text else []
         fields += [(f"v{j}", "<u4", (words,))] if j < len(literals) - 1 else []
     dtype = np.dtype(fields)
-    rec = np.empty(max(1, _CHUNK_BYTES // max(dtype.itemsize, 1)), dtype)
+    rec = np.empty(min(rows, max(1, _CHUNK_BYTES // max(dtype.itemsize, 1))), dtype)
     for j, text in enumerate(literals):
         if text:
             rec[f"l{j}"] = text
@@ -99,41 +101,43 @@ def _record(literals: list[bytes], words: int) -> np.ndarray:
 def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
     """Write ``row`` for each row of each int block, its ``%d`` slots
     filled from the row's values, rows joined by ``sep``; one ``write``
-    per non-empty block.  Returns the number of rows written.
+    per chunk of at most ``_CHUNK_BYTES``.  Returns the number of rows
+    written.
 
     Rows are packed records (``_record``) filled a chunk at a time: each
-    slot holds as many 4-digit words of ``_digit_words`` as the block's
-    largest value needs, looked up from the value's 4-digit parts, and
+    slot holds as many 4-digit words of ``_digit_words`` as the widest
+    value so far needs, looked up from the value's 4-digit parts, and
     one ``bytes.translate`` drops the NUL padding.
-    ``row`` and ``sep`` may hold no other ``%`` and no NUL; a negative
-    value raises ``ValueError``.
+    ``row`` and ``sep`` may hold no other ``%`` and no NUL; a value
+    outside 0..``_MAX_N`` (the ids and sizes of a tree) raises
+    ``ValueError``.
     """
     literals = (sep + row).split("%d")
     if "%" in "".join(literals) or "\0" in "".join(literals):
         raise ValueError(f"row {row!r} and sep {sep!r} may hold no '%' but %d slots, and no NUL")
     literals = [text.encode() for text in literals]
-    slots, rec, shape, count = len(literals) - 1, None, None, 0
+    slots, rec, words, want, count = len(literals) - 1, (), -1, 0, 0
+    skip = len(sep.encode())  # the first row written has no sep before it
     for block in blocks:
         if not len(block):
             continue
         if block.shape[1:] != (slots,):
             raise ValueError(f"a block of shape {block.shape} for a row of {slots} slots")
-        words, dtype = 0, np.int32
+        need = 0
         if slots:
-            if block.min() < 0:
-                raise ValueError("negative values cannot be written")
             top = int(block.max())
-            words = -(-len(str(top)) // 4)
-            dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
-        if words != shape:
-            rec, shape = _record(literals, words), words
+            if block.min() < 0 or top > _MAX_N:
+                raise ValueError(f"negative values and values above {_MAX_N} cannot be written")
+            need = -(-len(str(top)) // 4)
+        if need > words or len(block) > want == len(rec):  # wider, or longer and under the bound
+            words, want = max(need, words), max(len(block), want)
+            rec = _record(literals, words, want)
             fields = [rec[f"v{j}"] for j in range(slots)]
-        parts = []
         for lo in range(0, len(block), len(rec)):
-            q = block[lo:lo + len(rec)].astype(dtype)
+            q = block[lo:lo + len(rec)].astype(np.int32)
             m = len(q)
             if slots:
-                index = np.empty((m, slots, words), dtype)
+                index = np.empty((m, slots, words), np.int32)
                 for i in reversed(range(words)):  # word i of each value, the last first
                     run = 2 * _WORD if i == words - 1 else _WORD  # past the zero-padded run
                     if i == 0:
@@ -146,20 +150,15 @@ def _write_rows(fh, blocks, row: str, sep: str = "") -> int:
                 values = _digit_words().take(index)
                 for j, field in enumerate(fields):
                     field[:m] = values[:, j]
-            parts.append(rec[:m].tobytes().translate(None, b"\0"))
-        if not count:
-            parts[0] = parts[0][len(sep):]
-        text = b"".join(parts)
-        parts.clear()  # the block's bytes are held once while they are decoded
-        fh.write(text.decode())
-        count += len(block)
+            text = rec[:m].tobytes().translate(None, b"\0")
+            fh.write(text[0 if count else skip:].decode())
+            count += m
     return count
 
 
-def _edge_blocks(t: Tree):
-    """The edges as ``(k, 2)`` int arrays of at most ``_BLOCK`` rows."""
-    e = np.asarray(t.edges).reshape(-1, 2) if t._earr is None else t._earr
-    return (e[lo:lo + _BLOCK] for lo in range(0, len(e), _BLOCK))
+def _edge_array(t: Tree) -> np.ndarray:
+    """The edges as one ``(n - 1, 2)`` int array, in constructor order."""
+    return np.asarray(t.edges, np.int64).reshape(-1, 2) if t._earr is None else t._earr
 
 
 def to_edge_list_text(t: Tree) -> str:
@@ -208,10 +207,9 @@ def parse_edge_list(text: str) -> Tree:
 
 
 def write_edge_list(t: Tree, target: Union[PathLike, IO[str]]) -> None:
-    """Write the edge-list text, ``_BLOCK`` edges at a time."""
     with nullcontext(target) if hasattr(target, "write") else open(target, "w") as fh:
         fh.write(f"{t.n}\n")
-        _write_rows(fh, _edge_blocks(t), "%d %d\n")
+        _write_rows(fh, [_edge_array(t)], "%d %d\n")
 
 
 def read_edge_list(source: Union[PathLike, IO[str]]) -> Tree:
@@ -225,15 +223,15 @@ def to_dot(t: Tree, name: str = "tree") -> str:
     buf.write(f"graph {name} {{\n")  # the name stays out of the row template
     if t.n == 1:  # only K1 has a vertex on no edge
         buf.write("  0;\n")
-    _write_rows(buf, _edge_blocks(t), "  %d -- %d;\n")
+    _write_rows(buf, [_edge_array(t)], "  %d -- %d;\n")
     buf.write("}\n")
     return buf.getvalue()
 
 
 def tree_record(t: Tree) -> dict:
-    edges = [list(e) for e in t.edges] if t._earr is None else t._earr.tolist()
-    return {"n": t.n, "edges": edges}
+    return {"n": t.n, "edges": _edge_array(t).tolist()}
 
 
 def tree_from_record(record: dict) -> Tree:
-    return Tree(int(record["n"]), [(int(u), int(v)) for u, v in record["edges"]])
+    """The tree of a ``tree_record``; ``Tree`` judges ``n`` and the pairs as given."""
+    return Tree(record["n"], record["edges"])

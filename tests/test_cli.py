@@ -157,6 +157,12 @@ class TestFamily:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "2147483647" in err
 
+    def test_repeated_parameter_exits_2_and_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "t.txt"
+        code, out, err = run(capsys, "family", "spider:n=8,r=3,r=4", "--out", str(target))
+        assert (code, out) == (2, "") and "'r' given twice" in err
+        assert not target.exists()
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "t.txt"
         code, _, _ = run(capsys, "family", "path:n=5", "--out", str(target))
@@ -446,6 +452,13 @@ class TestVerifyCommand:
 
 
 class TestBench:
+    def test_order_past_int32_exits_2_before_generating(self, capsys):
+        import mostar.enumeration
+
+        with mock.patch.object(mostar.enumeration.random, "Random", side_effect=AssertionError):
+            code, out, err = run(capsys, "bench", "--n", "3000000000")
+        assert (code, out) == (2, "") and "2147483647" in err
+
     def test_small_with_oracle(self, capsys):
         code, out, _ = run(capsys, "bench", "--n", "60", "--seed", "5")
         assert code == 0

@@ -404,3 +404,8 @@ class TestRandomTree:
     def test_n1_rejected(self):
         with pytest.raises(ValueError):
             random_tree(1, 0)
+
+    def test_order_past_int32_rejected_before_generating(self):
+        with mock.patch("mostar.enumeration.random.Random", side_effect=AssertionError), \
+                pytest.raises(ValueError, match="2147483647"):
+            random_tree(3_000_000_000, 0)

@@ -247,6 +247,11 @@ class TestSpecText:
         with pytest.raises(ParameterError):
             parse_family_spec(text)
 
+    @pytest.mark.parametrize("text, key", [("spider:n=8,r=3,r=4", "r"), ("path:n=7,n=9", "n")])
+    def test_repeated_parameter_rejected(self, text, key):
+        with pytest.raises(ParameterError, match=f"'{key}' given twice"):
+            parse_family_spec(text)
+
 
 class TestClaimedExtremal:
     def test_odd_count_max_spider(self):

@@ -64,14 +64,15 @@ def test_stream_write():
 
 @pytest.mark.parametrize("n", [1, 2, 2048, 2049, 10**5])
 def test_write_streams_the_text_of_to_edge_list_text(tmp_path, n):
-    # the header, then the edges a block at a time
+    # the header, then the edges a chunk of at most _CHUNK_BYTES at a time
     t = Tree(1, []) if n == 1 else random_tree(n, 6)
     text = to_edge_list_text(t)
     buf = io.StringIO()
     with mock.patch.object(buf, "write", wraps=buf.write) as spy:
         write_edge_list(t, buf)
     assert buf.getvalue() == text
-    assert spy.call_count == 1 + -(-(n - 1) // tree_mod._BLOCK)
+    assert n < 10**5 or spy.call_count > 2  # the header and more than one chunk
+    assert all(len(c.args[0]) <= io_mod._CHUNK_BYTES for c in spy.call_args_list[1:])
     write_edge_list(t, tmp_path / "t.txt")
     assert (tmp_path / "t.txt").read_bytes() == text.encode()
     assert n <= tree_mod._SMALL_N or t._edges is None
@@ -106,13 +107,15 @@ _EDGE_VALUES = [0, 9, 10, 9_999, 10_000, 99_999_999, 10**8, 2**31 - 1]
 @pytest.mark.parametrize("chunk", [1, 40, 1 << 16])
 def test_rows_match_percent_at_word_edges(sep, chunk):
     ints = np.array(_EDGE_VALUES)
-    wide = np.array([*_EDGE_VALUES, 2**31, 10**12, 2**63 - 1])
     blocks = [ints.reshape(-1, 2), ints[:0].reshape(0, 2), ints[::-1].reshape(-1, 2),
-              wide[:10].reshape(-1, 2), ints.reshape(-1, 2)]
+              ints.reshape(-1, 2)]
     with mock.patch.object(io_mod, "_CHUNK_BYTES", chunk):  # 1 byte: one row per chunk
         assert _written(blocks, "(%d, %d)\n", sep) == _percent(blocks, "(%d, %d)\n", sep)
-        column = [ints.reshape(-1, 1), wide.reshape(-1, 1)]
+        column = [ints.reshape(-1, 1), ints[::-1].reshape(-1, 1)]
         assert _written(column, "%d", sep) == _percent(column, "%d", sep)
+        for wide in (2**31, 10**12, 2**63 - 1):  # past int32, the ids and sizes of no tree
+            with pytest.raises(ValueError, match="negative"):
+                _written([ints.reshape(-1, 1), np.array([[wide]])], "%d", sep)
 
 
 def test_rows_with_no_slot_repeat_the_row():
@@ -152,7 +155,7 @@ def test_negative_values_are_rejected():
 
 
 _VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(0, 20_000),
-                    st.integers(0, 2**63 - 1))
+                    st.integers(0, 2**31 - 1))
 _LITERALS = st.text(st.characters(codec="utf-8", exclude_characters="%\0"), max_size=5)
 
 
@@ -173,10 +176,15 @@ def _row_blocks(draw):
 @given(_row_blocks())
 @example(([np.zeros((1, 0), np.int64)], '{"n":1,"edges":[]}\n', "", 1 << 16))
 @example(([np.zeros((0, 2), np.int64), np.array([[0, 2**31 - 1]])], "%d %d", ",\n", 8))
+@example(([np.array([[0, 2**31]])], "%d %d", ",\n", 8))
 def test_rows_match_percent(case):
     blocks, row, sep, chunk = case
     with mock.patch.object(io_mod, "_CHUNK_BYTES", chunk):
-        assert _written(blocks, row, sep) == _percent(blocks, row, sep)
+        if any(b.size and b.max() > 2**31 - 1 for b in blocks):
+            with pytest.raises(ValueError, match="negative"):
+                _written(blocks, row, sep)
+        else:
+            assert _written(blocks, row, sep) == _percent(blocks, row, sep)
 
 
 def _path_text(n, last):
@@ -257,6 +265,41 @@ def test_text_and_dot_of_a_large_tree_skip_the_tuple_view():
     assert tree_record(t) == {"n": t.n, "edges": [[u, v] for u, v in pairs]}
     assert t._edges is None
     assert to_dot(Tree(1, []), "%s") == "graph %s {\n  0;\n}\n"
+
+
+@pytest.mark.parametrize("record", [{"n": 3, "edges": [[0, 1.9], [1, 2]]},
+                                    {"n": 3.5, "edges": [[0, 1], [1, 2]]},
+                                    {"n": 3, "edges": [["0", "1"], ["1", "2"]]}],
+                         ids=["float-id", "float-n", "string-ids"])
+def test_record_with_non_integer_values_is_rejected(record):
+    with pytest.raises(ValueError, match="integer"):
+        tree_from_record(record)
+
+
+def _records_built(run):
+    """The records ``_record`` builds while ``run()`` writes."""
+    built, real = [], io_mod._record
+
+    def record(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    with mock.patch.object(io_mod, "_record", record):
+        run()
+    return built
+
+
+def test_record_holds_the_rows_at_hand(capsys):
+    from mostar.cli import main
+
+    t = build(FamilySpec.spider(13, 3))
+    for render in (to_edge_list_text, to_dot):
+        assert [len(r) for r in _records_built(lambda: render(t))] == [12]
+    # n = 15: batches of 1,024 classes; the window starts 24 rows before the first batch ends
+    built = _records_built(lambda: main(["enumerate", "--n", "15", "--offset", "1000"]))
+    assert capsys.readouterr().err == "6741 trees\n"
+    assert len(built) == 2 and len(built[0]) == 24
+    assert len(built[1]) == io_mod._CHUNK_BYTES // built[1].itemsize < 1024
 
 
 def test_record_round_trip_isomorphic():
