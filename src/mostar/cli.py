@@ -66,6 +66,8 @@ _JSON_ROW = ('    {\n      "edge": [\n        %d,\n        %d\n      ],\n'
 
 
 def _cmd_compute(args) -> int:
+    if args.format == "json" and args.total_only:  # before --out is opened, like any bad usage
+        raise ValueError("--total-only applies to the text output; JSON always lists every split")
     t = tio.read_edge_list(args.file)
     total, splits = (mostar_bfs if args.oracle else mostar_fast)(t)
     with _output(args.out) as fh:
@@ -88,8 +90,10 @@ def _cmd_family(args) -> int:
     with _output(args.out) as fh:
         if args.format == "dot":
             fh.write(tio.to_dot(t))
-        elif args.format == "json":
-            fh.write(json.dumps(tio.tree_record(t)) + "\n")
+        elif args.format == "json":  # the bytes of json.dumps(tree_record(t)), row block by block
+            fh.write('{"n": %d, "edges": [' % t.n)
+            tio._write_rows(fh, [tio._edge_array(t)], "[%d, %d]", ", ")
+            fh.write("]}\n")
         else:
             tio.write_edge_list(t, fh)
     return 0
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="Mostar index of an edge-list file")
     p.add_argument("file", help="edge-list file (first line n, then n-1 lines 'u v')")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--total-only", action="store_true", help="omit the per-edge table")
+    p.add_argument("--total-only", action="store_true", help="omit the per-edge table (text output only)")
     p.add_argument("--oracle", action="store_true",
                    help="use the quadratic definitional oracle instead of the linear pass")
     p.add_argument("--out", help="output path (default stdout)")

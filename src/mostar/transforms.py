@@ -191,7 +191,7 @@ def shift_branch_to_end(
     for a, b in zip(path, path[1:]):
         if not t.has_edge(a, b):
             raise ValueError(f"({a}, {b}) is not an edge; path is not a path of the tree")
-    if r != len(_diametral_path(t.adj)) - 1:
+    if r != len(_diametral_path(t)) - 1:
         raise ValueError("path is not a longest path of the tree")
     if not 1 <= i <= r - 1:
         raise ValueError(f"i must index an internal path vertex, got i={i}")

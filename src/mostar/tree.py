@@ -10,7 +10,7 @@ edge is ``|n - 2*s|`` where ``s`` is the size of either component.
 This module provides:
 
 * :class:`Tree` - an immutable labeled tree on vertices ``0..n-1``,
-  validated by one breadth-first search from vertex 0.
+  validated and oriented by one breadth-first search from vertex 0.
 * :func:`mostar_fast` - one subtree-size pass over the orientation that
   search gives; above ``_SMALL_N`` vertices it is one sparse
   unit-triangular solve in BFS order, O(n) compiled work.
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 # Up to this order the pure-Python BFS beats scipy's; above it the
-# constructor calls scipy and keeps the parent and order arrays for mostar_fast.
+# constructor calls scipy.  Either way it keeps the search's parent and order.
 _SMALL_N = 2048
 
 # Rows per block when splits are read out of their columns.
@@ -141,11 +141,10 @@ class Tree:
     (``n = 1``, no edges) is accepted.
 
     The check is one breadth-first search from vertex 0: pure Python up
-    to ``_SMALL_N`` vertices, scipy's compiled BFS above it.  Large
-    trees keep the resulting parent and order arrays for
-    :func:`mostar_fast`; small trees keep only their adjacency and
-    search again on demand, which costs less than storing the
-    orientation of every tree.
+    to ``_SMALL_N`` vertices, scipy's compiled BFS above it.  The tree
+    keeps its orientation, ``_parent`` and ``_order`` (lists of Python
+    ints when small, scipy's int32 arrays when large), so no later walk
+    (:func:`mostar_fast`, ``_diametral_path``) searches from 0 again.
 
     Each edge is normalized to ``(min, max)`` and kept in the order
     given to the constructor.  Up to ``_SMALL_N`` vertices the edges
@@ -174,24 +173,16 @@ class Tree:
         self._adj = None
         self._degrees = None
         self._earr = None
-        self._parent = None
-        self._order = None
         self._edge_set = None
         if n <= _SMALL_N:
-            if isinstance(edges, np.ndarray):
-                edges = edges.tolist()
-            index = operator.index  # numpy or other integer-like ids become Python ints
-            try:
-                norm = tuple((index(u), index(v)) if u < v else (index(v), index(u)) for u, v in edges)
-            except (TypeError, ValueError) as exc:  # a non-integer id or an edge not a pair
-                raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
+            norm = _pairs(edges.tolist() if isinstance(edges, np.ndarray) else edges)
             if len(norm) != n - 1:
                 raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(norm)}")
             self._edges = norm
-            reached = len(_bfs(self._build_adj())[1])
+            self._parent, self._order = _bfs(self._build_adj())
         else:
-            reached = self._orient(edges)
-        if reached != n:
+            self._orient(edges)
+        if len(self._order) != n:
             raise ValueError("edges do not form a connected tree")
 
     # -- construction helpers -------------------------------------------------
@@ -208,10 +199,9 @@ class Tree:
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 
-    def _orient(self, edges) -> int:
-        """Check the edges as an array and keep its BFS orientation;
-        returns vertices reached.  An array made here from ``edges`` is
-        freed before the search.
+    def _orient(self, edges) -> None:
+        """Check the edges as an array and keep its BFS orientation.  An
+        array made here from ``edges`` is freed before the search.
 
         ``_parent[x]`` is the parent of ``x`` with the tree rooted at 0
         (scipy's negative placeholder at the root) and ``_order`` lists
@@ -221,8 +211,9 @@ class Tree:
         from scipy.sparse.csgraph import breadth_first_order
 
         n = self.n
+        edges = edges if isinstance(edges, (np.ndarray, list, tuple)) else list(edges)
         try:
-            e = np.asarray(edges if isinstance(edges, (np.ndarray, list, tuple)) else list(edges))
+            e = np.asarray(edges)
         except (TypeError, ValueError) as exc:  # e.g. edges of unequal lengths
             raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
         count = len(e) if e.ndim else 0
@@ -230,23 +221,22 @@ class Tree:
             raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {count}")
         if e.shape[1:] != (2,):
             raise ValueError(f"edges must be pairs of integer ids: got array shape {e.shape}")
-        if e.dtype.kind not in "iu":
-            raise ValueError(f"edges must be pairs of integer ids: got array dtype {e.dtype}")
+        if e.dtype.kind not in "iu":  # e.g. an id past int64: judged as a small tree is
+            for u, v in _pairs(e.tolist() if isinstance(edges, np.ndarray) else edges):
+                if u < 0 or v >= n or u == v:
+                    _reject_edge(u, v, n)
         a, b = e.astype(np.int64, copy=False).T
         e = np.empty((n - 1, 2), dtype=np.int64)  # never the caller's array
         u = np.minimum(a, b, out=e[:, 0])
         v = np.maximum(a, b, out=e[:, 1])
-        del a, b  # a temporary input array is freed before the search
+        del a, b, edges  # a temporary input array or list is freed before the search
         if u.min() < 0 or v.max() >= n or (u == v).any():
             i = np.flatnonzero((u < 0) | (v >= n) | (u == v))[0]  # the first bad edge
             _reject_edge(int(u[i]), int(v[i]), n)
         mat = coo_matrix((np.ones(n - 1, dtype=np.int8), (u, v)), shape=(n, n))
-        order, parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
         e.flags.writeable = False  # every SplitSequence of this tree shares it
         self._earr = e
-        self._parent = parent
-        self._order = order
-        return len(order)
+        self._order, self._parent = breadth_first_order(mat, 0, directed=False, return_predecessors=True)
 
     # -- structure accessors ---------------------------------------------------
 
@@ -301,6 +291,15 @@ class Tree:
         if self.n <= 12:
             return f"Tree(n={self.n}, edges={list(self.edges)})"
         return f"Tree(n={self.n}, <{self.n - 1} edges>)"
+
+
+def _pairs(edges) -> tuple[tuple[int, int], ...]:
+    """Each edge as a ``(min, max)`` pair of Python ints."""
+    index = operator.index  # numpy or other integer-like ids become Python ints
+    try:
+        return tuple((index(u), index(v)) if u < v else (index(v), index(u)) for u, v in edges)
+    except (TypeError, ValueError) as exc:  # a non-integer id or an edge not a pair
+        raise ValueError(f"edges must be pairs of integer ids: {exc}") from None
 
 
 def _reject_edge(u: int, v: int, n: int):
@@ -375,10 +374,10 @@ def _chain(adj, deg, prev: int, cur: int) -> list[int]:
     return walk
 
 
-def _diametral_path(adj) -> list[int]:
-    """A longest path.  A search from 0 ends at an end of some longest
-    path, and a search from that end ends at the other one."""
-    parent, order = _bfs(adj, _bfs(adj)[1][-1])
+def _diametral_path(t: Tree) -> list[int]:
+    """A longest path.  The constructor's search from 0 ends at an end of
+    some longest path, and a search from that end ends at the other one."""
+    parent, order = _bfs(t.adj, int(t._order[-1]))
     return _climb(parent, order[-1])
 
 
@@ -400,12 +399,12 @@ def _spine(t: Tree) -> list[int] | None:
 def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
     """Mostar index and per-edge splits.
 
-    Roots the tree at vertex 0 and computes every subtree size in one
-    pass: linear time in pure Python for trees of at most ``_SMALL_N``
-    vertices, one O(n) compiled triangular solve above that
-    (:func:`mostar._sizes.subtree_sizes`).  The split of edge (u, v)
-    is then (s, n - s) for the child-side size s, and its contribution
-    is ``|n - 2*s|``.
+    Sums every subtree size in one pass over the orientation the
+    constructor kept, rooted at vertex 0: linear time in pure Python for
+    trees of at most ``_SMALL_N`` vertices, one O(n) compiled triangular
+    solve above that (:func:`mostar._sizes.subtree_sizes`).  The split
+    of edge (u, v) is then (s, n - s) for the child-side size s, and its
+    contribution is ``|n - 2*s|``.
 
     Returns
     -------
@@ -413,9 +412,8 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
         ``total`` is the Mostar index; ``splits`` is a sequence of
         :class:`EdgeSplit` aligned with ``t.edges``.
     """
-    n = t.n
-    if t._parent is None:
-        parent, order = _bfs(t.adj)
+    n, parent, order = t.n, t._parent, t._order
+    if t._earr is None:
         sizes = [1] * n
         for i in range(n - 1, 0, -1):
             x = order[i]
@@ -429,8 +427,7 @@ def mostar_fast(t: Tree) -> tuple[int, SplitSequence]:
         return total, SplitSequence(t.edges, n_u_values, n)
     from ._sizes import subtree_sizes  # loaded, like scipy, with the first large tree
 
-    parent = t._parent
-    sizes = subtree_sizes(parent, t._order)
+    sizes = subtree_sizes(parent, order)
     u = t._earr[:, 0]
     v = t._earr[:, 1]
     n_u = np.where(parent[u] == v, sizes[u], n - sizes[v])
@@ -567,7 +564,7 @@ def stats(t: Tree) -> TreeStats:
         maximal_run_census=MappingProxyType(maximal),
         is_series_reduced=(deg2_count == 0),
         is_caterpillar=_spine(t) is not None,
-        diameter=len(_diametral_path(t.adj)) - 1,
+        diameter=len(_diametral_path(t)) - 1,
     )
 
 
@@ -576,14 +573,14 @@ def stats(t: Tree) -> TreeStats:
 
 def _centers(t: Tree) -> list[int]:
     """The one or two middle vertices of a longest path."""
-    path = _diametral_path(t.adj)
+    path = _diametral_path(t)
     return sorted(path[(len(path) - 1) // 2: len(path) // 2 + 1])
 
 
 def _rooted_code(t: Tree, root: int) -> str:
     """AHU parenthesization of the tree rooted at ``root``."""
     n = t.n
-    parent, order = _bfs(t.adj, root)
+    parent, order = (t._parent, t._order) if root == 0 else _bfs(t.adj, root)
     codes = [""] * n
     children: list[list[str]] = [[] for _ in range(n)]
     for x in reversed(order):

@@ -17,6 +17,7 @@ from mostar import (
     mostar_bfs,
     mostar_fast,
     parse_edge_list,
+    parse_family_spec,
     random_tree,
     to_edge_list_text,
     tree_from_record,
@@ -134,12 +135,27 @@ class TestCompute:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "64-bit" in err
 
+    def test_json_total_only_exits_2_and_writes_no_file(self, capsys, tmp_path, path7_file):
+        # JSON keeps one shape, every split listed, so --total-only is a usage error
+        target = tmp_path / "out.json"
+        code, out, err = run(capsys, "compute", path7_file, "--format", "json", "--total-only",
+                             "--out", str(target))
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+        assert "--total-only" in err and not target.exists()
+
 
 class TestFamily:
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "family", "spider:n=8,r=3", "--format", "dot")
         assert code == 0
         assert out.startswith("graph tree {") and out.count("--") == 7
+
+    @pytest.mark.parametrize("spec", ["path:n=1", "path:n=2", "spider:n=8,r=3", "spider:n=20000,r=7"])
+    def test_json_bytes_equal_the_record(self, capsys, spec):
+        # written a chunk at a time, the last spec past one 64 KB chunk
+        code, out, _ = run(capsys, "family", spec, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(tree_record(build(parse_family_spec(spec)))) + "\n"
 
     def test_edgelist_round_trip(self, capsys):
         code, out, _ = run(capsys, "family", "C:n=7,a=1,b=1")

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mostar.io as io_mod
@@ -60,7 +60,7 @@ def defective_trees(draw):
     defect = draw(st.sampled_from(
         ["range", "loop", "duplicate", "missing", "extra", "type", "pair"]))
     if defect == "range":
-        edges[i] = (u, draw(st.sampled_from([-1, n, n + 7])))
+        edges[i] = (u, draw(st.sampled_from([-1, n, n + 7, 2**64, -2**63 - 1])))
     elif defect == "loop":
         edges[i] = (u, u)
     elif defect == "duplicate":  # reversed, in place of another edge (extra when n = 2)
@@ -81,6 +81,8 @@ def defective_trees(draw):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(defective_trees())
+@example(("range", 3, [(0, 1), (2**64, 1)]))  # ids outside int64, drawn in a few examples only
+@example(("range", 3, [(0, 1), (1, -2**63 - 1)]))
 def test_bad_edges_rejected_in_both_regimes(case):
     """One defect is the same ValueError on the pure-Python and the array
     path; for a non-integer id or a non-pair edge, the same up to the
@@ -103,13 +105,16 @@ def test_bad_edges_rejected_in_both_regimes(case):
 def test_text_round_trip_and_regimes_agree(case):
     n, edges = case
     t = Tree(n, edges)
-    assert (t._parent is None) == (n <= SMALL_N)
+    assert isinstance(t._parent, list if n <= SMALL_N else np.ndarray)
     assert parse_edge_list(to_edge_list_text(t)) == t
     # the same edges built in the other regime give the same splits
     with mock.patch.object(tree_mod, "_SMALL_N", 1 if n <= SMALL_N else 10**7):
         other = Tree(n, edges)
-    assert (other._parent is None) != (t._parent is None)
+    assert isinstance(other._parent, np.ndarray if n <= SMALL_N else list)
     assert other.edges == t.edges
+    # each regime's longest path starts at the last vertex of its own search
+    assert stats(t).diameter == stats(other).diameter
+    assert tree_mod._centers(t) == tree_mod._centers(other)
     total, splits = mostar_fast(t)
     other_total, other_splits = mostar_fast(other)
     assert total == other_total == sum(s.psi for s in splits)
@@ -126,7 +131,7 @@ def test_walks_match_distance_definitions(case, rnd):
     t = Tree(n, edges)
     with mock.patch.object(tree_mod, "_SMALL_N", 1):
         array_backed = Tree(n, edges)
-    assert t._parent is None and array_backed._parent is not None
+    assert isinstance(t._parent, list) and isinstance(array_backed._parent, np.ndarray)
     for tree in (t, array_backed):
         fast_total, fast_splits = mostar_fast(tree)
         bfs_total, bfs_splits = mostar_bfs(tree)
@@ -230,7 +235,7 @@ def _surgeries(t, rnd):
     if pairs:
         for result in move_pendants_to_path_neighbor(t, *rnd.choice(pairs)):
             yield "move_pendants_to_path_neighbor", result, n
-    path = tree_mod._diametral_path(adj)
+    path = tree_mod._diametral_path(t)
     branching = [i for i in range(1, len(path) - 1) if deg[path[i]] > 2]
     if branching:
         i = rnd.choice(branching)

@@ -190,6 +190,8 @@ class TestMostarIndex:
         # parent the root (star), one long chain from the deepest root
         # (path built with vertex 0 at an end), a chain from its middle,
         # long legs sharing a root (spider) and a long handle (broom)
+        import numpy as np
+
         import mostar.tree as tree_mod
 
         n_path, n_star, n_spider, legs, n_broom, depth = 5000, 20000, 12001, 3, 20000, 5000
@@ -216,13 +218,34 @@ class TestMostarIndex:
         monkeypatch.setattr(tree_mod, "_SMALL_N", 10**7)
         for t, (edges, n, expected) in zip(large, cases):
             small = Tree(n, edges)
-            assert t._parent is not None and small._parent is None
+            assert isinstance(t._parent, np.ndarray) and isinstance(small._parent, list)
             total_large, splits_large = mostar_fast(t)
             total_small, splits_small = mostar_fast(small)
             assert total_large == total_small
             assert list(splits_large) == list(splits_small)
             if expected is not None:
                 assert total_large == expected
+
+    @pytest.mark.parametrize("small_n", [10**7, 1], ids=["list-backed", "array-backed"])
+    def test_no_second_search_from_vertex_0(self, monkeypatch, small_n):
+        # the constructor's search is the only one from vertex 0: the index
+        # pass runs none at all, and the longest path starts at the last
+        # vertex of that search; star and middle-out path have 0 as center
+        from unittest import mock
+
+        import mostar.tree as tree_mod
+
+        monkeypatch.setattr(tree_mod, "_SMALL_N", small_n)
+        cases = [star(9).edges, [(4, 2), (2, 0), (0, 1), (1, 3)], random_tree(40, 5).edges]
+        for edges in cases:
+            t = Tree(len(edges) + 1, edges)
+            with mock.patch.object(tree_mod, "_bfs", wraps=tree_mod._bfs) as search:
+                mostar_fast(t)
+                assert search.call_count == 0
+                stats(t)
+                canonical_form(t)
+            roots = [(*call.args, call.kwargs.get("root", 0))[1] for call in search.call_args_list]
+            assert roots and 0 not in roots, roots
 
     def test_array_regime_equals_oracle(self, monkeypatch):
         # force every tree of order 2..8 through the scipy BFS and the
