@@ -197,9 +197,10 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     reports = []
-    for cid in ids:
-        reports.extend(check_claim(cid, args.n_min, args.n_max, cap=args.cap,
-                                   maximal_census=args.maximal_census))
+    for n in range(args.n_min, args.n_max + 1):  # each order's table is filled once
+        for cid in ids:
+            reports.extend(check_claim(cid, n, n, cap=args.cap,
+                                       maximal_census=args.maximal_census))
     if not reports:
         print(f"error: claim {args.claim} has no instances at orders "
               f"{args.n_min}..{args.n_max}", file=sys.stderr)

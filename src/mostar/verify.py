@@ -15,10 +15,18 @@ tabulates them.
 
 Each claim with instances checks every class of a shared grid in its
 directions.  ``maximal_census`` re-reads the pendent-path claims T5.1 and
-T5.3 only; T2.6 counts leaves under either reading.  Searches share one
-cached table of columns per order, read off the level sequences, and
-build a tree only for each optimizer.  Each claimed family is built, and
-each family and optimizer class put in canonical form, only once.
+T5.3 only; T2.6 counts leaves under either reading.
+
+The checks of one order share one scope, and the module keeps the scope
+of the latest order only: a call at another order drops it before the
+new order's table is filled.  The scope holds the order's table of
+columns, read off the level sequences and filled outside every
+instance's ``millis``; each claimed family, built and put in canonical
+form once; and each table row a search or the degree-sequence check
+returns, made a ``Tree`` once and, as an optimizer, put in canonical
+form once.  ``verify`` walks the orders on the outside and the claims
+on the inside, so it fills each order's table once; calls that go back
+to an earlier order fill it again.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import csv
 import io as _io
 import time
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -103,15 +110,48 @@ class VerificationReport:
         return out
 
 
-@cache
-def _records(n: int):
-    """The search table of every class of order n; callers check the cap."""
-    return _Table(np.concatenate(list(_batches(n))))
+class _Order:
+    """What the checks of order n share: the search table, filled here;
+    each claimed family's ``(invalid, Mo, stats, canonical form)``; each
+    row's ``Tree``, by row; and each optimizer's canonical form, by the
+    edges of its row's ``Tree``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.table = _Table(np.concatenate(list(_batches(n))))
+        self._families, self._trees, self._forms = {}, {}, {}
+
+    def tree(self, row: int) -> Tree:
+        if row not in self._trees:
+            self._trees[row] = self.table.tree(row)
+        return self._trees[row]
+
+    def form(self, t: Tree) -> str:
+        if t.edges not in self._forms:
+            self._forms[t.edges] = canonical_form(t)
+        return self._forms[t.edges]
+
+    def claimed(self, family: Optional[FamilySpec]) -> tuple:
+        if family not in self._families:
+            self._families[family] = _claimed(family)
+        return self._families[family]
 
 
-def _table(n: int, cap: Optional[int]):
+# The scope of the order checked last; _scope replaces it.
+_latest: Optional[_Order] = None
+
+
+def _scope(n: int, cap: Optional[int]) -> _Order:
+    """The scope of order n once the cap admits n.  A scope of another
+    order is dropped before this one's table is filled; each caller reads
+    the one scope this returns, whatever other callers do meanwhile."""
+    global _latest
     _check_cap(n, cap)
-    return _records(n)
+    scope = _latest
+    if scope is None or scope.n != n:
+        scope = _latest = None  # no other order's scope is held while this table fills
+        scope = _latest = _Order(n)
+    return scope
 
 
 def extremal_search(
@@ -129,18 +169,17 @@ def extremal_search(
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     constraint.validate()
-    table = _table(n, cap)
-    rows = table.select(constraint)
+    scope = _scope(n, cap)
+    rows = scope.table.select(constraint)
     if not len(rows):
         return None, []
-    mo = table.mo[rows]
+    mo = scope.table.mo[rows]
     best = mo.max() if direction == "max" else mo.min()
-    return int(best), [table.tree(row) for row in rows[mo == best].tolist()]
+    return int(best), [scope.tree(row) for row in rows[mo == best].tolist()]
 
 
-@cache
 def _claimed(family: Optional[FamilySpec]) -> tuple:
-    """``(invalid, Mo, stats, canonical form)`` of a claimed family (its spec holds n)."""
+    """``(invalid, Mo, stats, canonical form)`` of a claimed family."""
     if family is None:
         return "no family claimed for this instance", None, None, None
     try:
@@ -148,17 +187,6 @@ def _claimed(family: Optional[FamilySpec]) -> tuple:
     except ParameterError as exc:
         return str(exc), None, None, None
     return None, mostar_fast(tree)[0], stats(tree), canonical_form(tree)
-
-
-# Each optimizer class's canonical form by (n, edges): a class's labels never change.
-_optimizer_forms: dict[tuple, str] = {}
-
-
-def _optimizer_form(t: Tree) -> str:
-    key = t.n, t.edges
-    if key not in _optimizer_forms:
-        _optimizer_forms[key] = canonical_form(t)
-    return _optimizer_forms[key]
 
 
 def _verify_instance(
@@ -170,11 +198,11 @@ def _verify_instance(
     family: Optional[FamilySpec],
     cap: Optional[int],
 ) -> VerificationReport:
-    _table(n, cap)  # the order's shared table is filled outside the instance's time
+    scope = _scope(n, cap)
     t0 = time.perf_counter()
-    invalid, value, claimed_stats, claimed_form = _claimed(family)
+    invalid, value, claimed_stats, claimed_form = scope.claimed(family)
     brute_value, argopt = extremal_search(n, constraint, direction, cap=cap)
-    argopt_canons = tuple(map(_optimizer_form, argopt))
+    argopt_canons = tuple(map(scope.form, argopt))
     checked = {}
     if brute_value is not None:
         checked["argopt_unique"] = len(argopt) == 1
@@ -415,7 +443,11 @@ def check_degree_sequence_structure(n: int, cap: Optional[int] = None) -> Degree
     caterpillar whose spine degrees (in path order) first decrease and
     then increase.
     """
-    table = _table(n, cap)  # rejects an order below 1 or above the cap
+    return _minimizer_structure(_scope(n, cap))  # rejects an order below 1 or above the cap
+
+
+def _minimizer_structure(scope: _Order) -> DegreeSequenceStructureReport:
+    n, table = scope.n, scope.table
     if n == 1:
         return DegreeSequenceStructureReport(n=n, sequences_checked=0, violations=())
     sequences, mo = table.degree_sequence, table.mo
@@ -431,16 +463,16 @@ def check_degree_sequence_structure(n: int, cap: Optional[int] = None) -> Degree
         run = order[start:stop]
         minimizers = run[mo[run] == mo[run[0]]].tolist()  # the least Mo heads the run
         if not any(spine is not None and _is_valley(spine)
-                   for spine in (_spine_degree_path(table.tree(row)) for row in minimizers)):
+                   for spine in (_spine_degree_path(scope.tree(row)) for row in minimizers)):
             violations.append(tuple(sequences[run[0]].tolist()))
     return DegreeSequenceStructureReport(
         n=n, sequences_checked=len(starts), violations=tuple(sorted(violations)))
 
 
 def _check_degseq_claim(claim_id: str, n: int, cap: Optional[int]) -> list[VerificationReport]:
-    _table(n, cap)  # filled outside the check's time, as for every instance
+    scope = _scope(n, cap)
     t0 = time.perf_counter()
-    summary = check_degree_sequence_structure(n, cap=cap)
+    summary = _minimizer_structure(scope)
     millis = (time.perf_counter() - t0) * 1000.0
     return [VerificationReport(
         claim_id=claim_id, n=n,

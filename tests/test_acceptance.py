@@ -45,7 +45,7 @@ from mostar.transforms import (
     shift_branch_to_end,
 )
 from mostar.verify import failed_reports
-from tree_helpers import diametral_paths, non_pendent_edges
+from tree_helpers import assert_transmission_identity, diametral_paths, non_pendent_edges
 
 
 def mo(t):
@@ -301,6 +301,7 @@ def test_criterion_8_performance():
     elapsed = time.perf_counter() - t0
     assert len(splits) == n - 1
     assert total > 0
+    assert_transmission_identity(n, splits._edges, total, splits._n_u)
 
     # memory: a fresh tree, traced; the pass may allocate O(n) and no more
     t2 = random_tree(n, 40)

@@ -36,7 +36,7 @@ from mostar import (
 )
 from mostar.cli import main
 from mostar.enumeration import _batches, _Table
-from mostar.verify import _records
+from tree_helpers import assert_transmission_identity
 
 # Classes of unlabeled trees per order (frozen after the dedup cross-check).
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
@@ -310,14 +310,21 @@ class TestSearchTable:
         assert_rows_are(table, ((row, table.tree(row)) for row in (1, 2, 500, len(table.mo) - 1)))
         assert table.select(ConstraintSpec.pendent_path_count(2, 1))[0] == 0
 
+    @staticmethod
+    def whole_order(n):
+        return _Table(np.concatenate(list(_batches(n))))
+
     def test_every_class_to_14(self):
         for n in range(1, 15):
-            table = _records(n)
+            table = self.whole_order(n)
             assert len(table.mo) == FREE_TREE_COUNTS[n - 1]
             assert_rows_are(table, enumerate(all_trees(n)))
+            if n > 1:  # every row's Mo, and its tree's splits, by the transmission identity
+                n_u = [mostar_fast(table.tree(row))[1]._n_u for row in range(len(table.mo))]
+                assert_transmission_identity(n, table.edges(slice(None)), table.mo, n_u)
 
     def test_sample_at_16(self):
-        table = _records(16)
+        table = self.whole_order(16)
         sample = set(random.Random(16).sample(range(len(table.mo)), 400))
         assert_rows_are(table, ((row, t) for row, t in enumerate(all_trees(16)) if row in sample))
 
@@ -361,16 +368,13 @@ class TestLazyColumns:
         built = self.builds(["enumerate", "--n", "13", "--filter", "deg2=3"], tmp_path)
         assert built == {**dict.fromkeys(LAZY_COLUMNS, 0), "deg2_count": 2}  # two batches at n = 13
 
-    def test_verify_builds_each_column_once_per_order(self, tmp_path):
+    def test_verify_builds_each_column_once_per_order(self, tmp_path, monkeypatch):
         orders = range(5, 10)
-        _records.cache_clear()
-        try:
-            with mock.patch.object(mostar.verify, "_Table", wraps=_Table) as tables, \
-                    column_builds() as spies:
-                argv = ["verify", "--claim", "all", "--n-min", "5", "--n-max", "9"]
-                assert main([*argv, "--format", "json", "--out", str(tmp_path / "out")]) == 0
-        finally:
-            _records.cache_clear()
+        monkeypatch.setattr(mostar.verify, "_latest", None)  # no order's table held
+        with mock.patch.object(mostar.verify, "_Table", wraps=_Table) as tables, \
+                column_builds() as spies:
+            argv = ["verify", "--claim", "all", "--n-min", "5", "--n-max", "9"]
+            assert main([*argv, "--format", "json", "--out", str(tmp_path / "out")]) == 0
         assert tables.call_count == len(orders)
         for name, spy in spies.items():
             read = [call.args[0] for call in spy.call_args_list]

@@ -1,5 +1,6 @@
 """Tree construction, Mostar index paths, stats, and canonical forms."""
 
+import numpy as np
 import pytest
 
 from mostar import (
@@ -16,6 +17,7 @@ from mostar import (
     random_tree,
     stats,
 )
+from tree_helpers import assert_transmission_identity, transmission
 
 
 def path(n):
@@ -311,6 +313,44 @@ class TestClosedForms:
         for n in range(2, 101):
             assert mostar_fast(star(n))[0] == (n - 1) * (n - 2)
             assert mostar_fast(path(n))[0] == self.path_closed_form(n)
+
+
+class TestTransmissionOracle:
+    """The compiled index pass against the transmission identity, at
+    orders the quadratic oracle cannot reach (see tree_helpers)."""
+
+    N = 10**6
+
+    @staticmethod
+    def shapes(n):
+        """A path with vertex 0 at an end, a star, and a spider whose
+        three legs of (n - 1) / 3 vertices hang from vertex 0."""
+        ids = np.arange(1, n)
+        leg = (n - 1) // 3
+        return {"path": np.column_stack((ids - 1, ids)),
+                "star": np.column_stack((np.zeros(n - 1, np.int64), ids)),
+                "spider": np.column_stack((np.where((ids - 1) % leg == 0, 0, ids - 1), ids))}
+
+    @pytest.mark.parametrize("shape", ["path", "star", "spider"])
+    def test_shapes_at_10_6(self, shape):
+        total, splits = mostar_fast(Tree(self.N, self.shapes(self.N)[shape]))
+        assert_transmission_identity(self.N, splits._edges, total, splits._n_u)
+
+    def test_random_tree_at_10_5(self):
+        # the random tree at 10^6 is criterion 8's
+        n = 10**5
+        total, splits = mostar_fast(random_tree(n, 20220724))
+        assert_transmission_identity(n, splits._edges, total, splits._n_u)
+
+    def test_a_wrong_total_or_centroid_is_caught(self):
+        n, edges = 9, self.shapes(9)["path"]
+        total, splits = mostar_fast(Tree(n, edges))
+        assert_transmission_identity(n, edges, total, splits._n_u)
+        assert transmission(n, edges, 4).tolist() == [20]  # 2 (1 + 2 + 3 + 4) from the middle
+        for wrong in (lambda: transmission(n, edges, 3),
+                      lambda: assert_transmission_identity(n, edges, total + 2, splits._n_u)):
+            with pytest.raises(AssertionError):
+                wrong()
 
 
 class TestPsiEdge:

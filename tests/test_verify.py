@@ -1,8 +1,15 @@
 """Brute-force extremal search, the claim registry, and report formats."""
 
+import dataclasses
+import gc
 import hashlib
 import json
+import operator
+import sys
+import threading
 import time
+import tracemalloc
+import types
 from unittest import mock
 
 import pytest
@@ -26,14 +33,48 @@ from mostar import (
     mostar_fast,
 )
 from mostar.cli import main
+from mostar.enumeration import _Table
+from mostar.tree import TreeStats
 from mostar.verify import (
     REGISTRY,
     VerificationReport,
-    _records,
     failed_reports,
     reports_to_csv,
     reports_to_json_obj,
 )
+
+
+def reachable(module):
+    """Every object the module's names lead to, without entering a module,
+    a module's globals or a class defined outside the package."""
+    modules = [m for m in list(sys.modules.values()) if isinstance(m, types.ModuleType)]
+    stop = {id(m) for m in modules} | {id(vars(m)) for m in modules}
+    seen, todo = {}, list(vars(module).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or id(obj) in stop or (
+                isinstance(obj, type) and not obj.__module__.startswith("mostar")):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def order_of(obj):
+    """The order of a search table, tree, family or canonical form, else infinity."""
+    if isinstance(obj, (_Table, Tree, FamilySpec)):
+        return obj.n
+    if isinstance(obj, TreeStats):
+        return len(obj.degree_sequence)
+    if isinstance(obj, str) and obj and not obj.strip("()"):
+        return len(obj) // 2
+    return float("inf")
+
+
+@pytest.fixture
+def no_order(monkeypatch):
+    """Start with no order's scope held."""
+    monkeypatch.setattr(mostar.verify, "_latest", None)
 
 
 class TestExtremalSearch:
@@ -63,35 +104,39 @@ class TestExtremalSearch:
         with pytest.raises(ValueError):
             extremal_search(6, ConstraintSpec.unconstrained(), "sideways")
 
-    def test_one_record_table_per_order_whatever_the_cap(self):
-        _records.cache_clear()
+    def test_one_record_table_per_order_whatever_the_cap(self, tmp_path, capsys, no_order):
         everything = ConstraintSpec.unconstrained()
-        extremal_search(8, everything, "max")  # library default cap
-        extremal_search(8, everything, "min", cap=18)  # the CLI's cap
-        check_degree_sequence_structure(8, cap=8)
-        assert _records.cache_info().misses == 1
-        # The cap still guards an order that is already cached.
-        with pytest.raises(EnumerationCapError):
-            extremal_search(8, everything, "max", cap=7)
-        with pytest.raises(EnumerationCapError):
-            check_degree_sequence_structure(8, cap=7)
+        argv = ["verify", "--claim", "all", "--n-min", "8", "--n-max", "8",
+                "--out", str(tmp_path / "out")]
+        with mock.patch.object(mostar.verify, "_Table", wraps=_Table) as fills:
+            assert main(argv) == 0  # the CLI's cap
+            extremal_search(8, everything, "max")  # library default cap
+            check_degree_sequence_structure(8, cap=8)
+            # The cap still guards an order whose table is filled.
+            assert main(argv + ["--cap", "7"]) == 2
+            with pytest.raises(EnumerationCapError):
+                extremal_search(8, everything, "max", cap=7)
+            with pytest.raises(EnumerationCapError):
+                check_degree_sequence_structure(8, cap=7)
+        assert fills.call_count == 1
+        assert "order 8 exceeds the enumeration cap 7" in capsys.readouterr().err
 
-    def test_one_fill_per_order_past_16_orders(self):
-        # claim-major over 1..17: the last claim still finds order 1 filled
-        _records.cache_clear()
-        try:
-            for cid in claim_ids():
-                check_claim(cid, 1, 17, cap=17)
-            assert _records.cache_info().misses == 17
-        finally:
-            _records.cache_clear()
+    def test_one_fill_per_order_past_16_orders(self, tmp_path, capsys, no_order):
+        # order-major over 1..17: every claim of an order reads one table
+        argv = ["verify", "--claim", "all", "--n-min", "1", "--n-max", "17", "--cap", "17",
+                "--out", str(tmp_path / "out")]
+        with mock.patch.object(mostar.verify, "_Table", wraps=_Table) as fills:
+            assert main(argv) == 0
+        assert [call.args[0].shape[1] for call in fills.call_args_list] == list(range(1, 18))
+        assert capsys.readouterr().err.splitlines() == ["ok=1228 fail=0 invalid=0 empty=1"]
 
-    def test_each_family_is_built_and_each_class_formed_once(self):
+    def test_each_family_is_built_and_each_class_formed_once(self, tmp_path, monkeypatch):
         # every instance claim at orders 5..9; C2.7 builds its own spiders
+        orders = range(5, 10)
         claims = [claim.id for claim in REGISTRY.values() if claim.instances is not None]
         specs, classes = set(), set()
-        for cid in claims:
-            for n in range(5, 10):
+        for n in orders:
+            for cid in claims:
                 for _, constraint, direction in REGISTRY[cid].instances(n):
                     specs.add(claimed_extremal(n, constraint, direction))
                     argopt = extremal_search(n, constraint, direction)[1]
@@ -104,31 +149,40 @@ class TestExtremalSearch:
             except ParameterError:
                 return False
 
-        mostar.verify._claimed.cache_clear()
-        mostar.verify._optimizer_forms.clear()
+        monkeypatch.setattr(mostar.verify, "_latest", None)
         with mock.patch.object(mostar.verify, "canonical_form", wraps=canonical_form) as forms, \
                 mock.patch.object(mostar.verify, "build", wraps=build) as builds:
-            for cid in claims:
-                check_claim(cid, 5, 9)
-            calls = forms.call_count, builds.call_count
-            for cid in claims:  # a second pass finds every family and class done
-                check_claim(cid, 5, 9)
-        assert len(classes) < calls[0] == sum(map(buildable, specs)) + len(classes)
-        assert calls[1] == len(specs)
-        assert (forms.call_count, builds.call_count) == calls
+            assert main(["verify", "--claim", "all", "--n-min", "5", "--n-max", "9",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(classes) < forms.call_count == sum(map(buildable, specs)) + len(classes)
+        assert builds.call_count == len(specs) + sum(n - 2 for n in orders)
 
-    def test_search_builds_trees_for_the_optimizers_only(self):
+    def test_search_builds_trees_for_the_optimizers_only(self, no_order):
         refuse = mock.Mock(side_effect=AssertionError("per-class work on the search path"))
-        _records.cache_clear()
         with mock.patch.object(mostar.verify, "stats", refuse), \
                 mock.patch.object(mostar.verify, "mostar_fast", refuse), \
                 mock.patch.object(mostar.enumeration, "stats", refuse, create=True), \
                 mock.patch.object(mostar.enumeration, "Tree", wraps=Tree) as built:
             value, argopt = extremal_search(10, ConstraintSpec.odd_count(4), "min")
+            again = extremal_search(10, ConstraintSpec.odd_count(4), "min")[1]
         assert value == mostar_fast(build(FamilySpec.c(10, 1, 0)))[0]
         assert argopt and built.call_count == len(argopt)
+        assert all(map(operator.is_, again, argopt))  # a row becomes a Tree once per order
 
-    def test_millis_excludes_the_table_fill(self, monkeypatch):
+    def test_each_row_becomes_a_tree_once_per_order(self, tmp_path, monkeypatch, no_order):
+        # the searches and the degree-sequence check share each order's trees
+        made, tree = [], _Table.tree
+
+        def counted(table, row):
+            made.append((table.n, row))
+            return tree(table, row)
+
+        monkeypatch.setattr(_Table, "tree", counted)
+        assert main(["verify", "--claim", "all", "--n-min", "5", "--n-max", "12",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert made and len(made) == len(set(made))
+
+    def test_millis_excludes_the_table_fill(self, tmp_path, monkeypatch, no_order):
         fill = mostar.verify._Table
 
         def slow_fill(depth):
@@ -137,15 +191,56 @@ class TestExtremalSearch:
 
         spy = mock.Mock(side_effect=slow_fill)
         monkeypatch.setattr(mostar.verify, "_Table", spy)
-        reports = []
+        target = tmp_path / "v.json"
+        assert main(["verify", "--claim", "all", "--n-min", "6", "--n-max", "7",
+                     "--format", "json", "--out", str(target)]) == 0
+        millis = [inst["millis"] for claim in json.loads(target.read_text())
+                  for inst in claim["instances"]]
+        assert spy.call_count == 2  # each order's first claim fills its table
+        assert millis and max(millis) < 250
+
+    def test_concurrent_orders_keep_their_own_tables(self):
+        # threads on two orders keep replacing the latest scope; every
+        # call still reads one order's table, families and forms
+        def checked(n):
+            return [dataclasses.replace(r, millis=0.0) for r in check_claim("T4.3", n, n)]
+
+        want = {n: checked(n) for n in (8, 9)}
+        got = {n: [] for n in want}
+        threads = [threading.Thread(target=lambda n=n: got[n].extend(checked(n) for _ in range(20)))
+                   for n in (8, 9, 8, 9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         try:
-            for cid in claim_ids():  # each claim starts with no table filled
-                _records.cache_clear()
-                reports += check_claim(cid, 6, 6)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
-            _records.cache_clear()
-        assert spy.call_count == len(claim_ids()) - 1  # C2.7 needs no table
-        assert reports and max(r.millis for r in reports) < 250
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert {n: len(runs) for n, runs in got.items()} == {8: 40, 9: 40}
+        assert all(run == want[n] for n, runs in got.items() for run in runs)
+
+    def test_a_sweep_holds_its_last_order_only(self, tmp_path, monkeypatch):
+        def held(n_min):
+            """Bytes still allocated after a sweep from n_min to 12."""
+            monkeypatch.setattr(mostar.verify, "_latest", None)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--claim", "all", "--n-min", str(n_min), "--n-max", "12",
+                             "--out", str(tmp_path / "out")]) == 0
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held(12)  # first-run imports and interned names
+        sweep = held(5)
+        orders = {order_of(obj) for obj in reachable(mostar.verify)}
+        assert 12 in orders and not [n for n in orders if n < 12]
+        assert sweep - held(12) < 64 * 1024
 
 
 class TestClaims:
