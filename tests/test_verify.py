@@ -1,12 +1,10 @@
 """Brute-force extremal search, the claim registry, and report formats."""
 
-import dataclasses
 import gc
 import hashlib
 import json
 import operator
 import sys
-import threading
 import time
 import tracemalloc
 import types
@@ -182,7 +180,7 @@ class TestExtremalSearch:
                      "--out", str(tmp_path / "out")]) == 0
         assert made and len(made) == len(set(made))
 
-    def test_millis_excludes_the_table_fill(self, tmp_path, monkeypatch, no_order):
+    def test_millis_excludes_the_table_fill(self, tmp_path, monkeypatch):
         fill = mostar.verify._Table
 
         def slow_fill(depth):
@@ -191,36 +189,16 @@ class TestExtremalSearch:
 
         spy = mock.Mock(side_effect=slow_fill)
         monkeypatch.setattr(mostar.verify, "_Table", spy)
-        target = tmp_path / "v.json"
-        assert main(["verify", "--claim", "all", "--n-min", "6", "--n-max", "7",
-                     "--format", "json", "--out", str(target)]) == 0
-        millis = [inst["millis"] for claim in json.loads(target.read_text())
-                  for inst in claim["instances"]]
-        assert spy.call_count == 2  # each order's first claim fills its table
+        fills, millis = {}, []
+        for cid in claim_ids():  # each claim starts with no table filled
+            monkeypatch.setattr(mostar.verify, "_latest", None)
+            before, target = spy.call_count, tmp_path / f"{cid}.json"
+            assert main(["verify", "--claim", cid, "--n-min", "6", "--n-max", "6",
+                         "--format", "json", "--out", str(target)]) == 0
+            fills[cid] = spy.call_count - before
+            millis += [inst["millis"] for inst in json.loads(target.read_text())["instances"]]
+        assert fills == {cid: int(cid != "C2.7") for cid in claim_ids()}  # C2.7 needs no table
         assert millis and max(millis) < 250
-
-    def test_concurrent_orders_keep_their_own_tables(self):
-        # threads on two orders keep replacing the latest scope; every
-        # call still reads one order's table, families and forms
-        def checked(n):
-            return [dataclasses.replace(r, millis=0.0) for r in check_claim("T4.3", n, n)]
-
-        want = {n: checked(n) for n in (8, 9)}
-        got = {n: [] for n in want}
-        threads = [threading.Thread(target=lambda n=n: got[n].extend(checked(n) for _ in range(20)))
-                   for n in (8, 9, 8, 9)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert {n: len(runs) for n, runs in got.items()} == {8: 40, 9: 40}
-        assert all(run == want[n] for n, runs in got.items() for run in runs)
 
     def test_a_sweep_holds_its_last_order_only(self, tmp_path, monkeypatch):
         def held(n_min):
