@@ -319,8 +319,6 @@ class TestTransmissionOracle:
     """The compiled index pass against the transmission identity, at
     orders the quadratic oracle cannot reach (see tree_helpers)."""
 
-    N = 10**6
-
     @staticmethod
     def shapes(n):
         """A path with vertex 0 at an end, a star, and a spider whose
@@ -331,10 +329,11 @@ class TestTransmissionOracle:
                 "star": np.column_stack((np.zeros(n - 1, np.int64), ids)),
                 "spider": np.column_stack((np.where((ids - 1) % leg == 0, 0, ids - 1), ids))}
 
-    @pytest.mark.parametrize("shape", ["path", "star", "spider"])
-    def test_shapes_at_10_6(self, shape):
-        total, splits = mostar_fast(Tree(self.N, self.shapes(self.N)[shape]))
-        assert_transmission_identity(self.N, splits._edges, total, splits._n_u)
+    # one shape at 10^6 keeps tier-1 short; the deep spider is the cheapest there
+    @pytest.mark.parametrize("shape, n", [("spider", 10**6), ("path", 10**5), ("star", 10**5)])
+    def test_shapes(self, shape, n):
+        total, splits = mostar_fast(Tree(n, self.shapes(n)[shape]))
+        assert_transmission_identity(n, splits._edges, total, splits._n_u)
 
     def test_random_tree_at_10_5(self):
         # the random tree at 10^6 is criterion 8's
