@@ -177,7 +177,8 @@ def _cmd_transform(args) -> int:
     print(f"Mo after  = {result.mo_after}")
     print(f"hypothesis held: {result.hypothesis_held}")
     if args.out:
-        tio.write_edge_list(result.after, args.out)
+        with _output(args.out) as fh:
+            tio.write_edge_list(result.after, fh)
     return 0
 
 
@@ -253,6 +254,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+_TRANSFORM_OUT = "write the transformed edge list to this path (- for stdout; default none)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mostar",
@@ -293,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = tsub.add_parser("contract", help="contract a non-pendent edge, add a leaf")
     q.add_argument("file")
     q.add_argument("--edge", required=True, metavar="U,V")
-    q.add_argument("--out")
+    q.add_argument("--out", help=_TRANSFORM_OUT)
     q.set_defaults(func=_cmd_transform)
 
     q = tsub.add_parser("rebalance", help="move one vertex from the short leg to the long leg")
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--at", type=int, required=True, metavar="U")
     q.add_argument("--long", type=int, required=True, metavar="L", dest="long")
     q.add_argument("--short", type=int, required=True, metavar="M", dest="short")
-    q.add_argument("--out")
+    q.add_argument("--out", help=_TRANSFORM_OUT)
     q.set_defaults(func=_cmd_transform)
 
     q = tsub.add_parser("move-pendants", help="push pendant leaves toward the other vertex")
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--path", required=True, metavar="V0,V1,...")
     q.add_argument("--i", type=int, required=True)
     q.add_argument("--c", type=int, default=1)
-    q.add_argument("--out")
+    q.add_argument("--out", help=_TRANSFORM_OUT)
     q.set_defaults(func=_cmd_transform)
 
     q = tsub.add_parser("relocate", help="re-attach a pendant leaf at another vertex")
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--leaf", type=int, required=True)
     q.add_argument("--from", type=int, required=True, dest="frm")
     q.add_argument("--to", type=int, required=True)
-    q.add_argument("--out")
+    q.add_argument("--out", help=_TRANSFORM_OUT)
     q.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("verify", help="check registered extremal claims by brute force")

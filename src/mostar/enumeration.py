@@ -184,10 +184,10 @@ _RISE = bytes(range(1, 256))
 _UP = _RISE + b"\0"
 
 
-def _level_sequences(n: int) -> Iterator[bytearray]:
+def _level_sequences(n: int) -> Iterator[np.ndarray]:
     """Every free tree of order n >= 1 once, by the Wright-Richmond-
-    Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986), in buffers of up
-    to ``_BATCH`` rows of n bytes.
+    Odlyzko-McKay algorithm (SIAM J. Comput. 15, 1986), as (rows, n)
+    uint8 matrices of up to ``_BATCH`` rows, each a view of one buffer.
 
     A tree is walked as a level sequence, the depth of each vertex in
     preorder from a root at a center.  Rooted trees follow one another
@@ -203,7 +203,8 @@ def _level_sequences(n: int) -> Iterator[bytearray]:
     and R are compared element by element only when heights and sizes
     tie.  The sequence is one bytearray, searched, tiled and stripped by
     bytes methods, and each kept sequence is copied into the next row of
-    the batch buffer; a full buffer is yielded and a new one started.
+    the batch buffer; a full buffer is yielded as a matrix and a new one
+    started.
     """
     seq = bytearray(range(n // 2 + 1)) + bytearray(range(1, (n + 1) // 2))  # the path, rooted at a center
     top = n // 2  # the tree's height
@@ -230,7 +231,7 @@ def _level_sequences(n: int) -> Iterator[bytearray]:
         rows[end:end + n] = seq
         end += n
         if end == size:
-            yield rows
+            yield np.frombuffer(rows, np.uint8).reshape(-1, n)
             rows, end = bytearray(size), 0
         p = len(seq.rstrip(b"\1")) - 1  # the last vertex deeper than 1
         if p == 0:
@@ -240,7 +241,7 @@ def _level_sequences(n: int) -> Iterator[bytearray]:
         if p <= top:
             top = p - 1
     if end:
-        yield rows[:end]
+        yield np.frombuffer(rows[:end], np.uint8).reshape(-1, n)
 
 
 def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
@@ -256,13 +257,6 @@ def all_trees(n: int, cap: Optional[int] = None) -> Iterator[Tree]:
 
 # Classes per search table when a stream works through an order.
 _BATCH = 1024
-
-
-def _batches(n: int) -> Iterator[np.ndarray]:
-    """The level sequences of order n as (rows, n) uint8 matrices of up
-    to ``_BATCH`` rows, each a view of one buffer of the generator."""
-    for rows in _level_sequences(n):
-        yield np.frombuffer(rows, np.uint8).reshape(-1, n)
 
 
 class _Table:
@@ -385,7 +379,7 @@ def _selected(n: int, constraint: ConstraintSpec, cap: Optional[int] = None):
     """Each batch's table of order n with the rows in the constraint's class."""
     constraint.validate()
     _check_cap(n, cap)
-    for depth in _batches(n):
+    for depth in _level_sequences(n):
         table = _Table(depth)
         yield table, table.select(constraint)
 

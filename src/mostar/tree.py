@@ -578,17 +578,17 @@ def _centers(t: Tree) -> list[int]:
 
 
 def _rooted_code(t: Tree, root: int) -> str:
-    """AHU parenthesization of the tree rooted at ``root``."""
-    n = t.n
+    """AHU parenthesization of the tree rooted at ``root``.  A code is
+    built from its children's, which are then dropped, so memory stays
+    linear in n even on a path."""
     parent, order = (t._parent, t._order) if root == 0 else _bfs(t.adj, root)
-    codes = [""] * n
-    children: list[list[str]] = [[] for _ in range(n)]
-    for x in reversed(order):
-        codes[x] = "(" + "".join(sorted(children[x])) + ")"
-        p = parent[x]
-        if p >= 0:
-            children[p].append(codes[x])
-    return codes[root]
+    children: list[list[str] | None] = [[] for _ in range(t.n)]
+    for x in reversed(order):  # the root comes last
+        code = "(" + "".join(sorted(children[x])) + ")"
+        children[x] = None
+        if x != root:
+            children[parent[x]].append(code)
+    return code
 
 
 def canonical_form(t: Tree) -> str:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .enumeration import ConstraintSpec, _batches, _check_cap, _Table
+from .enumeration import ConstraintSpec, _check_cap, _level_sequences, _Table
 from .families import FamilySpec, ParameterError, _srk_in_range, build
 from .tree import Tree, _spine, canonical_form, mostar_fast, stats
 
@@ -118,7 +118,7 @@ class _Order:
 
     def __init__(self, n: int):
         self.n = n
-        self.table = _Table(np.concatenate(list(_batches(n))))
+        self.table = _Table(np.concatenate(list(_level_sequences(n))))
         self._families, self._trees, self._forms = {}, {}, {}
 
     def tree(self, row: int) -> Tree:
@@ -390,20 +390,24 @@ def _path_like(n, maximal):
 
 
 def _check_spider_monotonicity(claim_id: str, n: int, cap: Optional[int]) -> list[VerificationReport]:
-    """Strict growth of the spider index in the leg count, 2 <= r <= n-2."""
+    """Strict growth of the spider index in the leg count, 2 <= r <= n-2.
+    Instance r builds spider r + 1 in its ``millis``, the first spider 2 too."""
     reports = []
     if n < 4:
         return reports
-    mo = {r: mostar_fast(build(FamilySpec.spider(n, r)))[0] for r in range(2, n)}
     for r in range(2, n - 1):
         t0 = time.perf_counter()
-        ok = mo[r] < mo[r + 1]
+        spec = FamilySpec.spider(n, r + 1)
+        if r == 2:
+            low = mostar_fast(build(FamilySpec.spider(n, 2)))[0]
+        high = mostar_fast(build(spec))[0]
+        ok = low < high
         reports.append(VerificationReport(
             claim_id=claim_id, n=n, params={"r": r}, direction="monotone",
-            brute_value=mo[r], claimed_value=mo[r + 1], value_match=ok, claimed_is_argopt=ok,
-            claimed_family=FamilySpec.spider(n, r + 1).to_text(),
-            millis=(time.perf_counter() - t0) * 1000.0,
+            brute_value=low, claimed_value=high, value_match=ok, claimed_is_argopt=ok,
+            claimed_family=spec.to_text(), millis=(time.perf_counter() - t0) * 1000.0,
         ))
+        low = high
     return reports
 
 

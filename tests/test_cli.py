@@ -19,6 +19,7 @@ from mostar import (
     parse_edge_list,
     parse_family_spec,
     random_tree,
+    relocate_pendant,
     to_edge_list_text,
     tree_from_record,
     tree_record,
@@ -342,6 +343,15 @@ class TestTransformCommand:
         assert code == 0
         assert "Mo before = 80" in out and "Mo after  = 76" in out
 
+    def test_out_dash_writes_the_edge_list_to_stdout(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        t = build(FamilySpec.c(12, 3, 1))
+        write_edge_list(t, "c.txt")
+        code, out, _ = run(capsys, "transform", "relocate", "c.txt",
+                           "--leaf", "10", "--from", "3", "--to", "5", "--out", "-")
+        summary = "Mo before = 80\nMo after  = 76\nhypothesis held: True\n"
+        assert (code, out) == (0, summary + to_edge_list_text(relocate_pendant(t, 10, 3, 5)))
+        assert not (tmp_path / "-").exists()
 
     @pytest.mark.parametrize("shape, argv, line", [
         (4, ["contract", "--edge", "0,1"],

@@ -35,7 +35,7 @@ from mostar import (
     trees_satisfying,
 )
 from mostar.cli import main
-from mostar.enumeration import _batches, _Table
+from mostar.enumeration import _level_sequences, _Table
 from tree_helpers import assert_transmission_identity
 
 # Classes of unlabeled trees per order (frozen after the dedup cross-check).
@@ -124,16 +124,16 @@ class TestAllTrees:
 
     def test_batch_rows_frozen(self):
         # The generator's level sequences, byte for byte, to order 18.
-        digests = [hashlib.sha256(np.concatenate(list(_batches(n))).tobytes()).hexdigest()
-                   for n in range(1, 19)]
+        digests = [hashlib.sha256(np.concatenate(list(_level_sequences(n))).tobytes())
+                   .hexdigest() for n in range(1, 19)]
         assert digests == ROW_DIGESTS
 
     @pytest.mark.parametrize("batch", [7, 1])
     def test_batch_size_does_not_change_rows(self, batch):
         for n in range(1, 13):
-            rows = np.concatenate(list(_batches(n)))
+            rows = np.concatenate(list(_level_sequences(n)))
             with mock.patch.object(mostar.enumeration, "_BATCH", batch):
-                short = list(_batches(n))
+                short = list(_level_sequences(n))
             assert all(1 <= len(b) <= batch for b in short), n
             assert np.array_equal(np.concatenate(short), rows), n
 
@@ -305,14 +305,14 @@ class TestSearchTable:
         n = 127
         star = _Table(np.array([[0] + [1] * (n - 1)], np.uint8))
         assert_rows_are(star, [(0, build(FamilySpec.star(n)))], same_labels=False)
-        table = _Table(next(_batches(n)))
+        table = _Table(next(_level_sequences(n)))
         assert_rows_are(table, [(0, build(FamilySpec.path(n)))], same_labels=False)
         assert_rows_are(table, ((row, table.tree(row)) for row in (1, 2, 500, len(table.mo) - 1)))
         assert table.select(ConstraintSpec.pendent_path_count(2, 1))[0] == 0
 
     @staticmethod
     def whole_order(n):
-        return _Table(np.concatenate(list(_batches(n))))
+        return _Table(np.concatenate(list(_level_sequences(n))))
 
     def test_every_class_to_14(self):
         for n in range(1, 15):

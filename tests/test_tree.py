@@ -1,5 +1,8 @@
 """Tree construction, Mostar index paths, stats, and canonical forms."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -486,3 +489,22 @@ class TestCanonicalForm:
     def test_bicentral_vs_unicentral(self):
         assert canonical_form(Tree(1, [])) == "()"
         assert canonical_form(Tree(2, [(0, 1)])) == "(())"
+
+    def test_forms_to_order_12_frozen(self):
+        forms = "\n".join(canonical_form(t) for n in range(1, 13) for t in all_trees(n))
+        assert hashlib.sha256(forms.encode()).hexdigest() == \
+            "2bd789f75527606c8ef2c412a68a1b4513d4f7d3cf601efc119861bac03049b8"
+
+    def test_path_form_in_linear_memory(self):
+        # each code on a path is 2 longer than its child's: holding every
+        # vertex's code at once took n^2 bytes (207 MB traced at this n)
+        n = 20_000
+        t = path(n)
+        t.adj  # the tree's own view, kept after the call, is built outside the trace
+        tracemalloc.start()
+        try:
+            form = canonical_form(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(form) == 2 * n and peak < 5_000_000

@@ -200,6 +200,16 @@ class TestExtremalSearch:
         assert fills == {cid: int(cid != "C2.7") for cid in claim_ids()}  # C2.7 needs no table
         assert millis and max(millis) < 250
 
+    def test_spider_millis_cover_their_builds(self, monkeypatch):
+        def slow_build(spec):
+            time.sleep(0.005)
+            return build(spec)
+
+        monkeypatch.setattr(mostar.verify, "build", slow_build)
+        reports = check_claim("C2.7", 4, 9)
+        assert len(reports) == sum(n - 3 for n in range(4, 10))
+        assert all(r.millis >= 5 for r in reports)
+
     def test_a_sweep_holds_its_last_order_only(self, tmp_path, monkeypatch):
         def held(n_min):
             """Bytes still allocated after a sweep from n_min to 12."""
